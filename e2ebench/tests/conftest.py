@@ -1,0 +1,8 @@
+"""Make the benchmark's modules and the program under test importable."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
