@@ -9,8 +9,9 @@ detection probability at a given θ.
 
 from dataclasses import replace
 
+from repro import api
 from repro.analysis.coverage import CoverageParams, density_for_detection
-from repro.experiments.scenario import ScenarioConfig, average_runs
+from repro.experiments.scenario import ScenarioConfig
 
 SETTINGS = (
     # (n_nodes, avg_neighbors)
@@ -31,7 +32,7 @@ def compute():
             seed=4,
             attack_start=50.0,
         )
-        reports = average_runs(config, runs=2)
+        reports = api.sweep(config, runs=2)
         attacked = sum(len(r.first_activity) for r in reports)
         detected = sum(
             1

@@ -54,14 +54,15 @@ from repro.experiments.campaign import (
     RetryPolicy,
     SupervisionPolicy,
     load_spec,
+    replication_configs,
     run_campaign,
+    run_configs,
 )
 from repro.experiments.matrix import (
     MatrixResult,
     MatrixSpec,
     run_matrix,
 )
-from repro.experiments.runner import SweepRunner, replication_configs
 from repro.experiments.scenario import (
     ATTACK_MODES,
     DEFENSES,
@@ -108,12 +109,13 @@ def sweep(
     parallel sweep (``jobs`` workers, ``-1`` = one per CPU) returns
     byte-identical reports to a serial one.  ``cache`` may be a
     :class:`~repro.experiments.cache.ResultCache` or a directory path.
+    A replication that keeps failing raises
+    :class:`~repro.experiments.campaign.CampaignError`; ``runs`` < 1
+    raises :class:`ValueError`.
     """
     if isinstance(cache, (str, Path)):
         cache = ResultCache(cache)
-    return SweepRunner(jobs=jobs, cache=cache).run_many(
-        replication_configs(config, runs)
-    )
+    return run_configs(replication_configs(config, runs), jobs=jobs, cache=cache)
 
 
 def campaign(

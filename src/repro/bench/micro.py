@@ -23,9 +23,9 @@ that serialises to a ``BENCH_<name>.json`` trajectory file:
   30 replications per point, run serial-cold, parallel-cold, and
   cache-warm.  Verifies the three produce byte-identical reports and
   records the wall-clock speedups (the acceptance trajectory for the
-  parallel runner and the result cache).  Runs under a
+  campaign loop's process backend and the result cache).  Runs under a
   :class:`~repro.obs.spans.SpanProfiler`, so its JSON also carries the
-  harness stage timings (build / run / collect / cache / fan-out).
+  harness stage timings (build / run / collect / cache / execute).
 - ``trace`` — per-record ``TraceLog.emit`` cost with no sink attached,
   a :class:`MemorySink`, a :class:`JsonlSink`, and in bounded ring
   mode — the observability tax on the simulator's hottest call.
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SweepRunner, replication_configs
+from repro.experiments.campaign import replication_configs, run_configs
 from repro.experiments.scenario import ScenarioConfig
 from repro.net.channel import Channel
 from repro.net.packet import DataPacket, Frame
@@ -413,12 +413,11 @@ def bench_sweep(
 
     samples: List[Dict[str, object]] = []
     with activate(profiler):
-        serial_runner = SweepRunner()
         serial_reports = []
         serial_started = time.perf_counter()
         for index, config in enumerate(configs):
             run_started = time.perf_counter()
-            serial_reports.append(serial_runner.run_one(config))
+            serial_reports.extend(run_configs([config]))
             samples.append(
                 {
                     "phase": "serial",
@@ -431,7 +430,7 @@ def bench_sweep(
         serial_seconds = time.perf_counter() - serial_started
 
         parallel_started = time.perf_counter()
-        parallel_reports = SweepRunner(jobs=jobs).run_many(configs)
+        parallel_reports = run_configs(configs, jobs=jobs)
         parallel_seconds = time.perf_counter() - parallel_started
         samples.append({"phase": "parallel", "jobs": jobs, "seconds": parallel_seconds})
 
@@ -443,12 +442,12 @@ def bench_sweep(
             populate = ResultCache(cache_root)
             for config, report in zip(configs, serial_reports):
                 populate.put(config, report)
-            warm_runner = SweepRunner(cache=ResultCache(cache_root))
+            warm_cache = ResultCache(cache_root)
             warm_started = time.perf_counter()
-            warm_reports = warm_runner.run_many(configs)
+            warm_reports = run_configs(configs, cache=warm_cache)
             warm_seconds = time.perf_counter() - warm_started
             samples.append(
-                {"phase": "warm", "cache_hits": warm_runner.cache_hits,
+                {"phase": "warm", "cache_hits": warm_cache.hits,
                  "seconds": warm_seconds}
             )
         finally:

@@ -33,7 +33,6 @@ from repro.experiments.records import ExperimentRecord, run_and_record
 from repro.experiments.scenario import (
     Scenario,
     ScenarioConfig,
-    average_runs,
     build_scenario,
     run_scenario,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Summary",
     "TABLE2",
     "Table2Parameters",
-    "average_runs",
     "build_scenario",
     "compile_campaign",
     "load_spec",

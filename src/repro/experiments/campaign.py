@@ -1,11 +1,16 @@
-"""Campaign orchestration: resumable, journaled batches of scenario sweeps.
+"""Campaign orchestration: the one executor for batches of scenario runs.
+
+Every batch of simulations in this package — a declarative campaign, a
+figure sweep, :func:`repro.api.sweep` — runs through the single dispatch
+loop of :class:`JobRunner`: cache lookup, then :class:`ExecutionBackend`
+``run_batch`` waves with retry, then cache write-back.
 
 A *campaign* is a declarative description of a whole study — a base
 :class:`~repro.experiments.scenario.ScenarioConfig`, a grid of field
 overrides (``axes``), and a replication count — compiled into a flat job
-list and executed through a pluggable :class:`ExecutionBackend`.  Where a
-figure runner is one in-process ``parallel_map`` call that forgets
-everything on interruption, a campaign is built to be killed:
+list.  :class:`CampaignRunner` wraps the loop in a journal so the study
+survives being killed; :func:`run_configs` runs a plain config list (a
+figure's points need not form a grid) with no journal at all.
 
 - **Content-addressed jobs** — every job is keyed by the existing
   :func:`~repro.experiments.cache.config_digest` of its concrete config,
@@ -20,10 +25,10 @@ everything on interruption, a campaign is built to be killed:
   Resuming loads the journal, skips every recorded job, and produces
   byte-identical aggregates to an uninterrupted run.
 - **Pluggable execution** — ``inline`` (serial, in-process), ``process``
-  (the :mod:`~repro.experiments.runner` worker-pool machinery), and
-  ``thread`` (for IO-bound trace-exporting jobs) backends share one
-  retry/backoff loop: a crashed worker fails only its own job, which is
-  re-dispatched up to :class:`RetryPolicy.retries` times.
+  (a worker-process pool, one future per job), and ``thread`` (for
+  IO-bound trace-exporting jobs) backends share one retry/backoff loop:
+  a crashed worker fails only its own job, which is re-dispatched up to
+  :class:`RetryPolicy.retries` times.
 - **Supervision** — a :class:`SupervisionPolicy` adds per-job wall-clock
   timeouts (hung workers are preempted and their pool torn down), result
   payload validation, and poison-job quarantine: a job that keeps
@@ -70,8 +75,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache, config_digest
-from repro.experiments.runner import replication_configs, resolve_jobs, run_config
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.seeds import child_seed
 from repro.experiments.stats import summarize, summarize_optional
 from repro.faults.harness import HarnessFaultController, HarnessInterrupt
 from repro.metrics.collector import MetricsReport
@@ -257,6 +262,17 @@ def load_spec(path: Union[str, Path]) -> CampaignSpec:
 # ----------------------------------------------------------------------
 # Compilation: spec -> content-addressed job list
 # ----------------------------------------------------------------------
+def replication_configs(config: ScenarioConfig, runs: int) -> List[ScenarioConfig]:
+    """The ``runs`` child configs of one sweep point (hash-derived seeds;
+    index 0 is ``config`` itself)."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    return [
+        dataclasses.replace(config, seed=child_seed(config.seed, index))
+        for index in range(runs)
+    ]
+
+
 @dataclass(frozen=True)
 class CampaignJob:
     """One concrete simulation of the campaign, keyed by config digest."""
@@ -278,7 +294,7 @@ def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
 
     Point order is the sorted-axis cartesian product; within a point,
     replications use the hash-derived child seeds of
-    :func:`~repro.experiments.runner.replication_configs`.
+    :func:`replication_configs`.
     """
     with span("campaign.compile"):
         jobs: List[CampaignJob] = []
@@ -586,6 +602,20 @@ def load_journal(
 JobFn = Callable[[ScenarioConfig], MetricsReport]
 
 
+def run_config(config: ScenarioConfig) -> MetricsReport:
+    """The default job body: module-level, so process pools can pickle it."""
+    return run_scenario(config)
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Worker-count policy: None/0/1 -> serial, -1 -> all CPUs, n -> n."""
+    if jobs is None or jobs == 0 or jobs == 1:
+        return 1
+    if jobs < 0:
+        return max(1, os.cpu_count() or 1)
+    return int(jobs)
+
+
 class ExecutionBackend:
     """How one wave of campaign jobs is executed.
 
@@ -829,12 +859,8 @@ def _reset_worker_signals() -> None:
 
 
 class ProcessBackend(_PoolBackend):
-    """Process-pool execution via the sweep runner's worker machinery.
-
-    Jobs are dispatched to :func:`repro.experiments.runner.run_config`
-    (the same picklable worker body ``SweepRunner`` fans out over), one
-    future per job so a crashed worker fails only its own job.
-    """
+    """Process-pool execution, one future per job so a crashed worker
+    fails only its own job.  The only process pool in the package."""
 
     name = "process"
 
@@ -994,6 +1020,8 @@ class CampaignResult:
     timeouts: int = 0
     dead_lettered: int = 0
     interrupted: Optional[str] = None
+    #: Every job's report in job order, once the campaign is complete.
+    reports: Optional[List[MetricsReport]] = None
 
     @property
     def completed_jobs(self) -> int:
@@ -1036,31 +1064,34 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-# The orchestrator
+# The dispatch loop and the orchestrator
 # ----------------------------------------------------------------------
-class CampaignRunner:
-    """Compiles and executes a campaign with journaling, caching, retry,
-    and worker supervision.
+@dataclass
+class DispatchTally:
+    """What one :meth:`JobRunner.dispatch` call did."""
+
+    from_cache: int = 0
+    executed: int = 0
+    retried: int = 0
+    timeouts: int = 0
+    dead_lettered: int = 0
+    interrupted: Optional[str] = None
+    truncated: bool = False
+
+
+class JobRunner:
+    """The dispatch loop every batch of scenario runs goes through:
+    cache lookup, then backend waves with retry, then cache write-back.
 
     Parameters
     ----------
-    spec:
-        The campaign to run.
     backend:
         An :class:`ExecutionBackend` instance (default: inline).
     cache:
         Optional :class:`~repro.experiments.cache.ResultCache`; consulted
         before dispatch and populated after every executed job.  Jobs that
         stream a trace export bypass cache reads (their records must hit
-        the sink), matching ``SweepRunner`` semantics.
-    journal_path:
-        Where to append the completion journal; None disables journaling
-        (and therefore resume).
-    resume:
-        Load the journal first and skip every job it records.  The
-        journal's spec digest must match ``spec``.  Dead-lettered jobs
-        are *not* skipped — a resume gives every poison job a fresh
-        chance.
+        the sink); their results are still written back.
     retry:
         Per-job :class:`RetryPolicy` for worker crashes.
     supervision:
@@ -1082,17 +1113,317 @@ class CampaignRunner:
         Zero-argument callable polled between jobs and waves; returning
         True stops dispatch gracefully (journal flushed, result marked
         ``interrupted="signal"``).  The CLI wires SIGINT/SIGTERM here.
-    fsync:
-        fsync every journal append (default True; see
-        :class:`CampaignJournal`).
     harness_faults:
         Optional :class:`~repro.faults.harness.HarnessFaultController`
         injecting worker/journal faults for chaos testing.
     worker:
         Job body override (tests inject flaky workers); defaults to
-        :func:`repro.experiments.runner.run_config`.
+        :func:`run_config`.
     sleep:
         Backoff sleep override for tests.
+    """
+
+    def __init__(
+        self,
+        backend: Optional[ExecutionBackend] = None,
+        *,
+        cache: Optional[ResultCache] = None,
+        retry: RetryPolicy = RetryPolicy(),
+        supervision: SupervisionPolicy = SupervisionPolicy(),
+        progress: Optional[CampaignProgress] = None,
+        trace: Optional[TraceLog] = None,
+        max_jobs: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
+        harness_faults: Optional[HarnessFaultController] = None,
+        worker: JobFn = run_config,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        self.backend = backend or InlineBackend()
+        self.cache = cache
+        self.retry = retry
+        self.supervision = supervision
+        self.progress = progress
+        self.trace = trace
+        self.max_jobs = max_jobs
+        self.stop = stop
+        self.harness_faults = harness_faults
+        self.worker = worker
+        self.sleep = sleep
+        self._started = time.perf_counter()
+
+    # -- helpers -------------------------------------------------------
+    def _should_stop(self) -> bool:
+        return self.stop is not None and bool(self.stop())
+
+    def _note(self, job: CampaignJob, source: str) -> None:
+        if self.progress is not None:
+            self.progress.job_done(source)
+        if self.trace is not None:
+            self.trace.emit(
+                time.perf_counter() - self._started,
+                "campaign_job",
+                job=job.index,
+                digest=job.digest[:12],
+                source=source,
+                replication=job.replication,
+            )
+
+    def _emit(self, kind: str, **fields: Any) -> None:
+        if self.trace is not None:
+            self.trace.emit(time.perf_counter() - self._started, kind, **fields)
+
+    # -- the loop ------------------------------------------------------
+    def dispatch(
+        self,
+        jobs: Sequence[CampaignJob],
+        reports: Dict[int, MetricsReport],
+        journal: Optional[CampaignJournal] = None,
+    ) -> DispatchTally:
+        """Run every job of ``jobs`` whose index is not yet in ``reports``.
+
+        ``reports`` is filled in place (job index -> report).  Jobs end
+        with a report, dead-lettered (quarantine on), or not at all when
+        the run stops early; a job that exhausts its retries with
+        quarantine off raises :class:`CampaignError` naming it.  Each
+        completion is recorded to ``journal`` (when given) before it
+        counts.
+        """
+        tally = DispatchTally()
+        pending = [job for job in jobs if job.index not in reports]
+        if self.cache is not None:
+            with span("campaign.cache"):
+                still: List[CampaignJob] = []
+                for job in pending:
+                    exporting = (
+                        job.config.obs is not None
+                        and job.config.obs.trace_path is not None
+                    )
+                    cached = None if exporting else self.cache.get(job.config)
+                    if cached is not None:
+                        try:
+                            if journal is not None:
+                                journal.record(job, cached)
+                        except HarnessInterrupt:
+                            tally.interrupted = "torn_write"
+                            break
+                        reports[job.index] = cached
+                        tally.from_cache += 1
+                        self._note(job, "cache")
+                    else:
+                        still.append(job)
+                pending = still
+
+        if self.max_jobs is not None and len(pending) > self.max_jobs:
+            pending = pending[: self.max_jobs]
+            tally.truncated = True
+
+        by_index = {job.index: job for job in jobs}
+        worker = self.worker
+        if self.harness_faults is not None:
+            worker = self.harness_faults.wrap_worker(
+                worker, {job.digest: job.index for job in jobs}
+            )
+        batch = [(job.index, job.config) for job in pending]
+        fail_counts: Dict[int, int] = {}
+        wave = 0
+        isolate = False
+        # Progress guard: every productive wave either completes,
+        # dead-letters, or burns a retry; anything past this bound is
+        # supervision spinning its wheels.
+        max_waves = self.retry.retries + len(batch) + 3
+        with span("campaign.execute"):
+            while batch and tally.interrupted is None:
+                if self._should_stop():
+                    tally.interrupted = "signal"
+                    break
+                wave += 1
+                if wave > max_waves:
+                    raise CampaignError(
+                        f"supervision made no progress after {wave - 1} "
+                        f"dispatch waves; aborting"
+                    )
+                results, failures = self.backend.run_batch(
+                    worker,
+                    batch,
+                    timeout=self.supervision.timeout,
+                    should_stop=self.stop,
+                    isolate=isolate,
+                )
+                isolate = False
+                # A worker can finish yet hand back garbage (injected
+                # payload corruption, a broken custom worker): validate
+                # before anything touches the journal or cache.
+                for index in sorted(results):
+                    if not isinstance(results[index], MetricsReport):
+                        failures[index] = CorruptResultError(
+                            f"worker returned "
+                            f"{type(results[index]).__name__!r}, "
+                            f"not a MetricsReport"
+                        )
+                for index in sorted(results):
+                    if index in failures:
+                        continue
+                    job = by_index[index]
+                    report = results[index]
+                    try:
+                        if journal is not None:
+                            journal.record(job, report)
+                    except HarnessInterrupt:
+                        # The torn line never became durable: the job
+                        # is *not* complete; resume re-runs it.
+                        tally.interrupted = "torn_write"
+                        break
+                    reports[index] = report
+                    tally.executed += 1
+                    if self.cache is not None:
+                        self.cache.put(job.config, report)
+                    self._note(job, "run")
+                if tally.interrupted is not None:
+                    break
+
+                retry_keys: List[int] = []
+                dead_now: List[int] = []
+                for index in sorted(failures):
+                    exc = failures[index]
+                    if isinstance(exc, JobTimeoutError):
+                        tally.timeouts += 1
+                        if self.progress is not None:
+                            self.progress.timeout(1)
+                        self._emit(
+                            "worker_timeout",
+                            job=index,
+                            digest=by_index[index].digest[:12],
+                            seconds=self.supervision.timeout,
+                        )
+                    if getattr(exc, "collateral", False):
+                        retry_keys.append(index)
+                        continue
+                    fail_counts[index] = fail_counts.get(index, 0) + 1
+                    if fail_counts[index] > self.retry.retries:
+                        dead_now.append(index)
+                    else:
+                        retry_keys.append(index)
+
+                if dead_now and not self.supervision.quarantine:
+                    causes = "; ".join(
+                        f"job {i} ({by_index[i].label()}, seed "
+                        f"{by_index[i].config.seed}): {failures[i]}"
+                        for i in dead_now[:3]
+                    )
+                    raise CampaignError(
+                        f"{len(dead_now)} job(s) failed after "
+                        f"{self.retry.retries} retr(ies): {causes}"
+                    )
+                for index in dead_now:
+                    job = by_index[index]
+                    if journal is not None:
+                        journal.dead_letter(
+                            job, failures[index], attempts=fail_counts[index]
+                        )
+                    tally.dead_lettered += 1
+                    if self.progress is not None:
+                        self.progress.dead_letter(1)
+                    self._emit(
+                        "campaign_dead_letter",
+                        job=index,
+                        digest=job.digest[:12],
+                        error=f"{type(failures[index]).__name__}: "
+                        f"{failures[index]}",
+                        attempts=fail_counts[index],
+                    )
+
+                # Jobs the backend returned in neither dict were never
+                # dispatched — that only happens on a graceful stop.
+                missing = [
+                    key
+                    for key, _config in batch
+                    if key not in results and key not in failures
+                ]
+                if missing:
+                    if self._should_stop():
+                        tally.interrupted = "signal"
+                        break
+                    retry_keys.extend(missing)
+
+                if not retry_keys:
+                    break
+                # If any failure this wave broke its whole pool, probe
+                # the suspects one-per-pool next wave so the poison job
+                # is identified instead of dragging innocents down.
+                isolate = any(
+                    isinstance(failures.get(index), (BrokenExecutor, WorkerLostError))
+                    for index in retry_keys
+                )
+                tally.retried += len(retry_keys)
+                if self.progress is not None:
+                    self.progress.retry(len(retry_keys))
+                self._emit("campaign_retry", count=len(retry_keys), wave=wave)
+                delay = self.retry.delay(wave)
+                if delay > 0:
+                    self.sleep(delay)
+                batch = [
+                    (index, by_index[index].config)
+                    for index in sorted(retry_keys)
+                ]
+        return tally
+
+
+def run_configs(
+    configs: Sequence[ScenarioConfig],
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[MetricsReport]:
+    """Run a plain config list on the dispatch loop; reports in input order.
+
+    The journal-free path that figure sweeps and :func:`repro.api.sweep`
+    take.  ``jobs`` picks the backend: in-process when
+    :func:`resolve_jobs` gives 1, a pool of that many worker processes
+    otherwise; both return byte-identical reports.  Quarantine is off, so
+    a config that still fails after the default retries raises
+    :class:`CampaignError` naming it — a figure never silently averages
+    fewer runs than it asked for.
+    """
+    batch = [
+        CampaignJob(
+            index=index,
+            point=(),
+            replication=index,
+            config=config,
+            digest=config_digest(config),
+        )
+        for index, config in enumerate(configs)
+    ]
+    backend = InlineBackend() if resolve_jobs(jobs) == 1 else ProcessBackend(jobs)
+    runner = JobRunner(
+        backend, cache=cache, supervision=SupervisionPolicy(quarantine=False)
+    )
+    reports: Dict[int, MetricsReport] = {}
+    runner.dispatch(batch, reports)
+    return [reports[job.index] for job in batch]
+
+
+class CampaignRunner(JobRunner):
+    """Compiles a campaign spec and runs its jobs on the dispatch loop,
+    journaled and resumable.
+
+    Parameters
+    ----------
+    spec:
+        The campaign to run.
+    journal_path:
+        Where to append the completion journal; None disables journaling
+        (and therefore resume).
+    resume:
+        Load the journal first and skip every job it records.  The
+        journal's spec digest must match ``spec``.  Dead-lettered jobs
+        are *not* skipped — a resume gives every poison job a fresh
+        chance.
+    fsync:
+        fsync every journal append (default True; see
+        :class:`CampaignJournal`).
+
+    The remaining parameters are :class:`JobRunner`'s.
     """
 
     def __init__(
@@ -1116,54 +1447,31 @@ class CampaignRunner:
     ) -> None:
         if resume and journal_path is None:
             raise CampaignError("--resume needs a journal path")
+        super().__init__(
+            backend,
+            cache=cache,
+            retry=retry,
+            supervision=supervision,
+            progress=progress,
+            trace=trace,
+            max_jobs=max_jobs,
+            stop=stop,
+            harness_faults=harness_faults,
+            worker=worker,
+            sleep=sleep,
+        )
         self.spec = spec
-        self.backend = backend or InlineBackend()
-        self.cache = cache
         self.journal_path = Path(journal_path) if journal_path is not None else None
         self.resume = resume
-        self.retry = retry
-        self.supervision = supervision
-        self.progress = progress
-        self.trace = trace
-        self.max_jobs = max_jobs
-        self.stop = stop
         self.fsync = fsync
-        self.harness_faults = harness_faults
-        self.worker = worker
-        self.sleep = sleep
 
-    # -- helpers -------------------------------------------------------
-    def _should_stop(self) -> bool:
-        return self.stop is not None and bool(self.stop())
-
-    def _note(self, job: CampaignJob, source: str, started: float) -> None:
-        if self.progress is not None:
-            self.progress.job_done(source)
-        if self.trace is not None:
-            self.trace.emit(
-                time.perf_counter() - started,
-                "campaign_job",
-                job=job.index,
-                digest=job.digest[:12],
-                source=source,
-                replication=job.replication,
-            )
-
-    def _emit(self, started: float, kind: str, **fields: Any) -> None:
-        if self.trace is not None:
-            self.trace.emit(time.perf_counter() - started, kind, **fields)
-
-    # -- the run -------------------------------------------------------
     def run(self) -> CampaignResult:
-        started = time.perf_counter()
+        self._started = time.perf_counter()
         jobs = compile_campaign(self.spec)
         if self.progress is not None:
             self.progress.start(total=len(jobs), name=self.spec.name)
         reports: Dict[int, MetricsReport] = {}
-        from_journal = from_cache = executed = retried = 0
-        timeouts = 0
-        dead_lettered: List[int] = []
-        interrupted: Optional[str] = None
+        from_journal = 0
 
         if self.resume and self.journal_path is not None and self.journal_path.exists():
             with span("campaign.resume"):
@@ -1178,7 +1486,7 @@ class CampaignRunner:
                 if report is not None:
                     reports[job.index] = report
                     from_journal += 1
-                    self._note(job, "journal", started)
+                    self._note(job, "journal")
 
         journal = (
             CampaignJournal(
@@ -1187,214 +1495,31 @@ class CampaignRunner:
             if self.journal_path is not None
             else None
         )
-        truncated = False
         try:
             if journal is not None:
                 journal.begin(self.spec, total_jobs=len(jobs))
-
-            pending = [job for job in jobs if job.index not in reports]
-            if self.cache is not None:
-                with span("campaign.cache"):
-                    still: List[CampaignJob] = []
-                    for job in pending:
-                        exporting = (
-                            job.config.obs is not None
-                            and job.config.obs.trace_path is not None
-                        )
-                        cached = None if exporting else self.cache.get(job.config)
-                        if cached is not None:
-                            try:
-                                if journal is not None:
-                                    journal.record(job, cached)
-                            except HarnessInterrupt:
-                                interrupted = "torn_write"
-                                break
-                            reports[job.index] = cached
-                            from_cache += 1
-                            self._note(job, "cache", started)
-                        else:
-                            still.append(job)
-                    pending = still
-
-            if self.max_jobs is not None and len(pending) > self.max_jobs:
-                pending = pending[: self.max_jobs]
-                truncated = True
-
-            by_index = {job.index: job for job in jobs}
-            worker = self.worker
-            if self.harness_faults is not None:
-                worker = self.harness_faults.wrap_worker(
-                    worker, {job.digest: job.index for job in jobs}
-                )
-            batch = [(job.index, job.config) for job in pending]
-            fail_counts: Dict[int, int] = {}
-            wave = 0
-            isolate = False
-            # Progress guard: every productive wave either completes,
-            # dead-letters, or burns a retry; anything past this bound is
-            # supervision spinning its wheels.
-            max_waves = self.retry.retries + len(batch) + 3
-            with span("campaign.execute"):
-                while batch and interrupted is None:
-                    if self._should_stop():
-                        interrupted = "signal"
-                        break
-                    wave += 1
-                    if wave > max_waves:
-                        raise CampaignError(
-                            f"supervision made no progress after {wave - 1} "
-                            f"dispatch waves; aborting"
-                        )
-                    results, failures = self.backend.run_batch(
-                        worker,
-                        batch,
-                        timeout=self.supervision.timeout,
-                        should_stop=self.stop,
-                        isolate=isolate,
-                    )
-                    isolate = False
-                    # A worker can finish yet hand back garbage (injected
-                    # payload corruption, a broken custom worker): validate
-                    # before anything touches the journal or cache.
-                    for index in sorted(results):
-                        if not isinstance(results[index], MetricsReport):
-                            failures[index] = CorruptResultError(
-                                f"worker returned "
-                                f"{type(results[index]).__name__!r}, "
-                                f"not a MetricsReport"
-                            )
-                    torn = False
-                    for index in sorted(results):
-                        if index in failures:
-                            continue
-                        job = by_index[index]
-                        report = results[index]
-                        try:
-                            if journal is not None:
-                                journal.record(job, report)
-                        except HarnessInterrupt:
-                            # The torn line never became durable: the job
-                            # is *not* complete; resume re-runs it.
-                            interrupted = "torn_write"
-                            torn = True
-                            break
-                        reports[index] = report
-                        executed += 1
-                        if self.cache is not None:
-                            self.cache.put(job.config, report)
-                        self._note(job, "run", started)
-                    if torn:
-                        break
-
-                    retry_keys: List[int] = []
-                    dead_now: List[int] = []
-                    for index in sorted(failures):
-                        exc = failures[index]
-                        if isinstance(exc, JobTimeoutError):
-                            timeouts += 1
-                            if self.progress is not None:
-                                self.progress.timeout(1)
-                            self._emit(
-                                started,
-                                "worker_timeout",
-                                job=index,
-                                digest=by_index[index].digest[:12],
-                                seconds=self.supervision.timeout,
-                            )
-                        if getattr(exc, "collateral", False):
-                            retry_keys.append(index)
-                            continue
-                        fail_counts[index] = fail_counts.get(index, 0) + 1
-                        if fail_counts[index] > self.retry.retries:
-                            dead_now.append(index)
-                        else:
-                            retry_keys.append(index)
-
-                    if dead_now and not self.supervision.quarantine:
-                        causes = "; ".join(
-                            f"{by_index[i].label()}: {failures[i]}"
-                            for i in dead_now[:3]
-                        )
-                        raise CampaignError(
-                            f"{len(dead_now)} job(s) failed after "
-                            f"{self.retry.retries} retr(ies): {causes}"
-                        )
-                    for index in dead_now:
-                        job = by_index[index]
-                        if journal is not None:
-                            journal.dead_letter(
-                                job, failures[index], attempts=fail_counts[index]
-                            )
-                        dead_lettered.append(index)
-                        if self.progress is not None:
-                            self.progress.dead_letter(1)
-                        self._emit(
-                            started,
-                            "campaign_dead_letter",
-                            job=index,
-                            digest=job.digest[:12],
-                            error=f"{type(failures[index]).__name__}: "
-                            f"{failures[index]}",
-                            attempts=fail_counts[index],
-                        )
-
-                    # Jobs the backend returned in neither dict were never
-                    # dispatched — that only happens on a graceful stop.
-                    missing = [
-                        key
-                        for key, _config in batch
-                        if key not in results and key not in failures
-                    ]
-                    if missing:
-                        if self._should_stop():
-                            interrupted = "signal"
-                            break
-                        retry_keys.extend(missing)
-
-                    if not retry_keys:
-                        break
-                    # If any failure this wave broke its whole pool, probe
-                    # the suspects one-per-pool next wave so the poison job
-                    # is identified instead of dragging innocents down.
-                    isolate = any(
-                        isinstance(failures.get(index), (BrokenExecutor, WorkerLostError))
-                        for index in retry_keys
-                    )
-                    retried += len(retry_keys)
-                    if self.progress is not None:
-                        self.progress.retry(len(retry_keys))
-                    self._emit(
-                        started, "campaign_retry", count=len(retry_keys), wave=wave
-                    )
-                    delay = self.retry.delay(wave)
-                    if delay > 0:
-                        self.sleep(delay)
-                    batch = [
-                        (index, by_index[index].config)
-                        for index in sorted(retry_keys)
-                    ]
-
+            tally = self.dispatch(jobs, reports, journal)
             if journal is not None:
-                if interrupted is not None:
-                    journal.interrupt(reason=interrupted, completed=len(reports))
-                elif truncated:
+                if tally.interrupted is not None:
+                    journal.interrupt(reason=tally.interrupted, completed=len(reports))
+                elif tally.truncated:
                     journal.interrupt(reason="max_jobs", completed=len(reports))
         finally:
             if journal is not None:
                 journal.close()
 
-        if interrupted is not None:
+        if tally.interrupted is not None:
             if self.progress is not None:
-                self.progress.interrupt(interrupted)
+                self.progress.interrupt(tally.interrupted)
             self._emit(
-                started, "campaign_interrupted",
-                reason=interrupted, completed=len(reports),
+                "campaign_interrupted",
+                reason=tally.interrupted, completed=len(reports),
             )
         complete = (
             len(reports) == len(jobs)
-            and not truncated
-            and interrupted is None
-            and not dead_lettered
+            and not tally.truncated
+            and tally.interrupted is None
+            and not tally.dead_lettered
         )
         aggregate = None
         if complete:
@@ -1403,15 +1528,16 @@ class CampaignRunner:
         return CampaignResult(
             spec=self.spec,
             total_jobs=len(jobs),
-            executed=executed,
-            from_cache=from_cache,
+            executed=tally.executed,
+            from_cache=tally.from_cache,
             from_journal=from_journal,
-            retried=retried,
+            retried=tally.retried,
             complete=complete,
             aggregate=aggregate,
-            timeouts=timeouts,
-            dead_lettered=len(dead_lettered),
-            interrupted=interrupted,
+            timeouts=tally.timeouts,
+            dead_lettered=tally.dead_lettered,
+            interrupted=tally.interrupted,
+            reports=[reports[job.index] for job in jobs] if complete else None,
         )
 
 
@@ -1473,8 +1599,10 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "CorruptResultError",
+    "DispatchTally",
     "ExecutionBackend",
     "InlineBackend",
+    "JobRunner",
     "JobTimeoutError",
     "JournalState",
     "ProcessBackend",
@@ -1489,5 +1617,9 @@ __all__ = [
     "load_journal",
     "load_spec",
     "make_backend",
+    "replication_configs",
+    "resolve_jobs",
     "run_campaign",
+    "run_config",
+    "run_configs",
 ]

@@ -15,7 +15,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.experiments.scenario import ScenarioConfig, average_runs
+from repro.experiments.campaign import replication_configs, run_configs
+from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.stats import Summary, summarize, summarize_optional
 from repro.metrics.collector import MetricsReport
 
@@ -100,7 +101,7 @@ def run_and_record(
     notes: str = "",
 ) -> ExperimentRecord:
     """Run ``runs`` replications and (optionally) persist the record."""
-    reports = average_runs(config, runs)
+    reports = run_configs(replication_configs(config, runs))
     record = ExperimentRecord.from_runs(name, config, reports, notes=notes)
     if path is not None:
         record.save(path)

@@ -358,31 +358,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     return build_scenario(config).run()
 
 
-def average_runs(
-    config: ScenarioConfig,
-    runs: int,
-    jobs: Optional[int] = None,
-    cache: Optional[object] = None,
-) -> List[MetricsReport]:
-    """Run ``runs`` independent replications (the paper averages 30).
-
-    Replication seeds are hash-derived (:mod:`repro.experiments.seeds`):
-    index 0 is the base seed itself, higher indices are SHA-256 children —
-    the historical ``seed + 1000 * index`` scheme collided across sweep
-    points and survives only as ``seeds.legacy_child_seed``.
-
-    ``jobs``/``cache`` fan the replications across worker processes and
-    consult a :class:`~repro.experiments.cache.ResultCache`; both default
-    to the serial, uncached behaviour.
-    """
-    # Imported lazily: the runner imports this module for run_scenario.
-    from repro.experiments.runner import SweepRunner, replication_configs
-
-    return SweepRunner(jobs=jobs, cache=cache).run_many(
-        replication_configs(config, runs)
-    )
-
-
 # ----------------------------------------------------------------------
 # Internal helpers
 # ----------------------------------------------------------------------

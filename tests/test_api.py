@@ -38,6 +38,11 @@ def test_sweep_replications_and_path_cache(tmp_path):
     assert any((tmp_path / "cache").rglob("*.json"))
 
 
+def test_sweep_rejects_zero_runs():
+    with pytest.raises(ValueError):
+        api.sweep(api.ScenarioConfig(n_nodes=16, duration=30.0), runs=0)
+
+
 def test_campaign_accepts_mapping_and_journal_path(tmp_path):
     spec = {
         "name": "facade",

@@ -22,6 +22,7 @@ from repro.experiments.campaign import (
     load_spec,
     make_backend,
     run_campaign,
+    run_configs,
 )
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.obs.progress import CampaignProgress
@@ -274,6 +275,21 @@ def test_resume_with_complete_journal_runs_nothing(tmp_path):
     assert json.dumps(replay.aggregate, sort_keys=True) == json.dumps(
         full.aggregate, sort_keys=True
     )
+
+
+def test_campaign_hands_back_reports_in_job_order(tmp_path):
+    """A campaign and a plain config list run on the same loop: the
+    campaign's reports equal ``run_configs`` over its compiled configs,
+    whether executed or replayed from the journal."""
+    spec = tiny_spec(runs=2)
+    journal = tmp_path / "j.jsonl"
+    assert run_campaign(spec, journal=journal, max_jobs=1).reports is None
+    full = run_campaign(spec, journal=journal, resume=True)
+    plain = run_configs([job.config for job in compile_campaign(spec)])
+    assert [r.to_state() for r in full.reports] == [r.to_state() for r in plain]
+    replay = run_campaign(spec, journal=journal, resume=True)
+    assert replay.executed == 0
+    assert [r.to_state() for r in replay.reports] == [r.to_state() for r in plain]
 
 
 def test_resume_rejects_spec_mismatch(tmp_path):

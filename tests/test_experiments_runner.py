@@ -1,18 +1,22 @@
-"""Parallel sweep runner: determinism, ordering, caching, fan-out."""
+"""Sweeps on the campaign loop: determinism, ordering, caching, failures."""
 
 import json
 
 import pytest
 
+from repro import api
+from repro.experiments import campaign
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import (
-    SweepRunner,
-    parallel_map,
+from repro.experiments.campaign import (
+    CampaignError,
     replication_configs,
     resolve_jobs,
+    run_configs,
 )
-from repro.experiments.scenario import ScenarioConfig, average_runs
+from repro.experiments.figures import run_fig8
+from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.experiments.seeds import child_seed
+from repro.obs.config import ObsConfig
 
 TINY = ScenarioConfig(n_nodes=16, duration=40.0, seed=4, attack_start=20.0)
 
@@ -38,69 +42,77 @@ def test_replication_configs_use_hash_seeds():
 
 
 def test_parallel_equals_serial_byte_identical():
-    """The acceptance property: a parallel sweep returns byte-identical
-    MetricsReports to a serial sweep of the same configs, in order."""
+    """The acceptance property: the process backend returns byte-identical
+    MetricsReports to the inline one for the same configs, in order."""
     configs = replication_configs(TINY, 3)
-    serial = SweepRunner(jobs=None).run_many(configs)
-    parallel = SweepRunner(jobs=2).run_many(configs)
+    serial = run_configs(configs)
+    parallel = run_configs(configs, jobs=2)
     assert serial == parallel
     assert _canonical(serial) == _canonical(parallel)
 
 
-def test_average_runs_parallel_matches_serial():
-    serial = average_runs(TINY, 3)
-    parallel = average_runs(TINY, 3, jobs=2)
+def test_api_sweep_parallel_matches_serial():
+    serial = api.sweep(TINY, 3)
+    parallel = api.sweep(TINY, 3, jobs=2)
     assert _canonical(serial) == _canonical(parallel)
 
 
 def test_cache_hit_returns_identical_report(tmp_path):
     configs = replication_configs(TINY, 2)
-    first = SweepRunner(cache=ResultCache(tmp_path))
-    computed = first.run_many(configs)
-    assert first.computed == 2 and first.cache_hits == 0
+    cold = ResultCache(tmp_path)
+    computed = run_configs(configs, cache=cold)
+    assert cold.stats() == {"hits": 0, "misses": 2}
 
-    second = SweepRunner(cache=ResultCache(tmp_path))
-    cached = second.run_many(configs)
-    assert second.computed == 0 and second.cache_hits == 2
+    warm = ResultCache(tmp_path)
+    cached = run_configs(configs, cache=warm)
+    assert warm.stats() == {"hits": 2, "misses": 0}
     assert cached == computed
     assert _canonical(cached) == _canonical(computed)
 
 
 def test_partial_cache_only_computes_misses(tmp_path):
     configs = replication_configs(TINY, 3)
-    warm = SweepRunner(cache=ResultCache(tmp_path))
-    warm.run_many(configs[:1])
-    mixed = SweepRunner(cache=ResultCache(tmp_path))
-    reports = mixed.run_many(configs)
-    assert mixed.cache_hits == 1
-    assert mixed.computed == 2
-    assert _canonical(reports) == _canonical(SweepRunner().run_many(configs))
+    run_configs(configs[:1], cache=ResultCache(tmp_path))
+    mixed = ResultCache(tmp_path)
+    reports = run_configs(configs, cache=mixed)
+    assert mixed.stats() == {"hits": 1, "misses": 2}
+    assert _canonical(reports) == _canonical(run_configs(configs))
 
 
-def test_run_one_matches_run_scenario():
-    from repro.experiments.scenario import run_scenario
-
-    assert SweepRunner().run_one(TINY) == run_scenario(TINY)
-
-
-def test_parallel_map_preserves_order():
-    assert parallel_map(_square, [3, 1, 2], jobs=2) == [9, 1, 4]
-    assert parallel_map(_square, [], jobs=2) == []
-    assert parallel_map(_square, [5], jobs=2) == [25]
-
-
-def test_chaos_sweep_parallel_matches_serial():
-    from repro.experiments.chaos import ChaosConfig, run_chaos_sweep
-
-    configs = [
-        ChaosConfig(n_nodes=24, duration=100.0, seed=seed, crash_at=50.0,
-                    loss_at=60.0, loss_duration=20.0)
-        for seed in (1, 2)
-    ]
-    serial = run_chaos_sweep(configs)
-    parallel = run_chaos_sweep(configs, jobs=2)
-    assert [r.format() for r in serial] == [r.format() for r in parallel]
+def test_exporting_configs_bypass_cache_reads(tmp_path):
+    """A run streaming its trace must execute even when its report is
+    cached, or the export would silently miss its records."""
+    export = tmp_path / "trace.jsonl"
+    config = ScenarioConfig(
+        n_nodes=16, duration=40.0, seed=4, attack_start=20.0,
+        obs=ObsConfig(trace_path=str(export)),
+    )
+    cache = ResultCache(tmp_path / "cache")
+    first = run_configs([config], cache=cache)
+    assert any((tmp_path / "cache").rglob("*.json"))  # still written back
+    export.unlink()
+    second = run_configs([config], cache=cache)
+    assert cache.hits == 0
+    assert export.read_text().strip()
+    assert _canonical(second) == _canonical(first)
 
 
-def _square(value):
-    return value * value
+def test_single_config_matches_run_scenario():
+    assert run_configs([TINY]) == [run_scenario(TINY)]
+    assert run_configs([]) == []
+
+
+def test_failing_replication_raises_instead_of_short_result(monkeypatch):
+    """A replication that fails every retry must abort the sweep (naming
+    the job), never hand back fewer reports than were asked for."""
+
+    def flaky(config):
+        if config.seed != TINY.seed:
+            raise RuntimeError("injected replication failure")
+        return run_scenario(config)
+
+    monkeypatch.setattr(campaign, "run_scenario", flaky)
+    with pytest.raises(CampaignError, match="job 1 .*injected replication failure"):
+        api.sweep(TINY, 2)
+    with pytest.raises(CampaignError, match="injected replication failure"):
+        run_fig8(base=TINY, malicious_counts=(2,), runs=2)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.experiments.campaign import replication_configs
 from repro.experiments.parameters import TABLE2
 from repro.experiments.scenario import (
     ScenarioConfig,
-    average_runs,
     build_scenario,
     run_scenario,
 )
@@ -96,14 +96,12 @@ def test_attack_none_has_no_malicious():
 
 def test_average_runs_distinct_seeds():
     config = ScenarioConfig(n_nodes=20, duration=60.0, seed=4, attack_start=20.0)
-    reports = average_runs(config, runs=2)
-    assert len(reports) == 2
-
-
-def test_average_runs_validation():
-    config = ScenarioConfig(n_nodes=20, duration=60.0, seed=4)
-    with pytest.raises(ValueError):
-        average_runs(config, runs=0)
+    children = replication_configs(config, runs=2)
+    assert len(children) == 2
+    assert children[0] == config
+    assert children[0].seed != children[1].seed
+    reports = [run_scenario(child) for child in children]
+    assert reports[0].to_state() != reports[1].to_state()
 
 
 def test_config_validation():
