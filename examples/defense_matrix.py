@@ -1,8 +1,8 @@
 """Defense × attack matrix: every registered scheme against three wormholes.
 
-Runs the matrix campaign through ``repro.api`` — one journaled campaign
-per attack mode (malicious-node counts co-vary with the mode, so the
-attack axis cannot live inside a single campaign grid) — then renders
+Runs the matrix through ``repro.api`` as one journaled campaign — its
+coupled ``attack`` axis sets each mode together with the malicious-node
+count the mode needs, crossed with a ``defense`` axis — then renders
 the markdown report the ``repro matrix`` CLI prints: detection rate,
 isolation latency, delivery, and wormhole-drop grids with one row per
 defense and one column per attack.

@@ -2,9 +2,12 @@
 
 The benchmark suite defaults to scaled-down horizons so it finishes in
 minutes.  This script runs the paper's actual scale — 2000-second
-simulations averaged over 30 randomised runs (Table 2) — and persists
-each sweep as a JSON record under ``results/``.  Expect hours of
-wall-clock; every individual run is deterministic and resumable by seed.
+simulations averaged over 30 randomised runs (Table 2) — for the fig 8/9
+sweep: M = 0, 2, 4 out-of-band colluders, each without and with
+LITEWORP.  The sweep is one journaled campaign: every finished run is
+appended to ``results/<campaign>.journal.jsonl``, so a sweep killed after
+hours resumes where it stopped when the same command is run again.  The
+per-point aggregate lands in ``results/<campaign>.json``.
 
 Usage:
     python scripts/paper_scale.py            # the full fig8/9 sweep
@@ -20,10 +23,29 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from repro.experiments.records import run_and_record
-from repro.experiments.scenario import ScenarioConfig
+from repro import api
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "results"
+
+#: The coupled attack axis: (mode, colluders M) move together.
+ATTACKS = (
+    {"attack_mode": "none", "n_malicious": 0},
+    {"attack_mode": "outofband", "n_malicious": 2},
+    {"attack_mode": "outofband", "n_malicious": 4},
+)
+
+
+def build_spec(runs: int, duration: float, nodes: int) -> api.CampaignSpec:
+    """The paper-scale sweep: attack (M = 0, 2, 4) × defense (none,
+    liteworp), ``runs`` replications each, base seed 8."""
+    return api.CampaignSpec(
+        name=f"paper-scale-n{nodes}-d{duration:g}-r{runs}",
+        base=api.ScenarioConfig(
+            n_nodes=nodes, duration=duration, seed=8, attack_start=50.0
+        ),
+        axes=(("attack", ATTACKS), ("defense", ("none", "liteworp"))),
+        runs=runs,
+    )
 
 
 def main() -> int:
@@ -33,42 +55,18 @@ def main() -> int:
     parser.add_argument("--nodes", type=int, default=100)
     args = parser.parse_args()
 
-    sweeps = []
-    for m in (0, 2, 4):
-        for liteworp in (False, True):
-            mode = "outofband" if m >= 2 else "none"
-            sweeps.append(
-                (
-                    f"fig89_M{m}_{'lw' if liteworp else 'base'}",
-                    ScenarioConfig(
-                        n_nodes=args.nodes,
-                        duration=args.duration,
-                        seed=8,
-                        attack_mode=mode,
-                        n_malicious=m if mode != "none" else 0,
-                        attack_start=50.0,
-                        defense="liteworp" if liteworp else "none",
-                    ),
-                )
-            )
-
-    for name, config in sweeps:
-        started = time.time()
-        record = run_and_record(
-            name,
-            config,
-            runs=args.runs,
-            path=RESULTS / f"{name}.json",
-            notes=f"paper-scale sweep, {args.runs} runs x {args.duration}s",
-        )
-        drops = record.metric("wormhole_drops")
-        latency = record.isolation_latency_summary()
-        print(
-            f"{name:22s} drops={drops.format(1):24s} "
-            f"isolation={latency.format(1):24s} "
-            f"[{time.time() - started:7.1f}s]"
-        )
-    print(f"\nrecords written to {RESULTS}/")
+    spec = build_spec(args.runs, args.duration, args.nodes)
+    journal = RESULTS / f"{spec.name}.journal.jsonl"
+    print(f"journal {journal} (rerun the same command to resume)")
+    started = time.time()
+    result = api.campaign(spec, journal=journal, resume=True)
+    print(result.format())
+    print(f"[{time.time() - started:.1f}s]")
+    if not result.complete:
+        return 75
+    out = RESULTS / f"{spec.name}.json"
+    out.write_text(result.to_json())
+    print(f"aggregate written to {out}")
     return 0
 
 

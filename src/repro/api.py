@@ -21,7 +21,8 @@ Five verbs, one noun family:
 - :func:`campaign` — a declarative grid of configs with journaled resume
   (see :mod:`repro.experiments.campaign`).
 - :func:`matrix` — every registered defense × every requested attack
-  mode, one journaled campaign per attack, folded into a single
+  mode as one journaled campaign (a coupled ``attack`` axis sets the
+  mode and its malicious-node count), folded into a single
   :class:`MatrixReport` (see :mod:`repro.experiments.matrix`).
 - :func:`report` — a markdown/JSON run report from a trace export.
 
@@ -181,8 +182,10 @@ def matrix(
         api.matrix(runs=3, attacks=("outofband", "relay"))
         api.matrix(spec, journal_dir="out", resume=True)
 
-    When the result is complete, ``result.report`` is the rendered
-    :class:`MatrixReport` (markdown + JSON).
+    The journal is ``<journal_dir>/<spec.name>.journal.jsonl``.  When
+    the result is complete, ``result.report`` is the rendered
+    :class:`MatrixReport` (markdown + JSON); ``result.campaign`` is the
+    underlying :class:`CampaignResult` either way.
     """
     if spec is None:
         spec = MatrixSpec(**overrides)

@@ -15,10 +15,10 @@ Commands
   summarises a journal, and ``doctor`` audits/repairs a damaged journal
   or result cache.
 - ``matrix`` — every registered defense × every requested attack mode
-  through the campaign orchestrator (one journaled, resumable campaign
-  per attack; the malicious-node count co-varies with the mode),
-  rendered as one markdown + JSON detection-rate / isolation-latency /
-  overhead matrix report.
+  as one journaled, resumable campaign (a coupled ``attack`` axis sets
+  the mode and the malicious-node count it needs), rendered as one
+  markdown + JSON detection-rate / isolation-latency / overhead matrix
+  report.
 - ``fig6`` — the analytical coverage curves.
 - ``cost`` — the section-5.2 cost table.
 - ``taxonomy`` — Table 1.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.analysis.cost import CostModel
 from repro.analysis.coverage import (
@@ -88,6 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="result cache directory (default .repro-cache)")
         add_trace_options(sub_parser)
 
+    def add_scenario_options(sub_parser: argparse.ArgumentParser) -> None:
+        """The one-scenario flag set of ``run``, ``trace export`` and
+        ``report --live`` (see :func:`_scenario_from_args`)."""
+        sub_parser.add_argument("--nodes", type=int, default=50)
+        sub_parser.add_argument("--duration", type=float, default=240.0)
+        sub_parser.add_argument("--seed", type=int, default=1)
+        sub_parser.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
+        sub_parser.add_argument("--malicious", type=int, default=2)
+        sub_parser.add_argument("--attack-start", type=float, default=40.0)
+        sub_parser.add_argument("--defense", choices=DEFENSES, default="liteworp")
+
     def add_trace_options(sub_parser: argparse.ArgumentParser) -> None:
         """Observability flags shared by figure/chaos/run commands."""
         sub_parser.add_argument("--trace-out", default=None, metavar="FILE",
@@ -101,13 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "records (sinks still see everything)")
 
     run_p = sub.add_parser("run", help="run one scenario and print the report")
-    run_p.add_argument("--nodes", type=int, default=50)
-    run_p.add_argument("--duration", type=float, default=240.0)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    run_p.add_argument("--malicious", type=int, default=2)
-    run_p.add_argument("--attack-start", type=float, default=40.0)
-    run_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(run_p)
     run_p.add_argument("--json", dest="json_path", default=None,
                        help="also write the metric report as JSON to this path")
 
@@ -139,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a TOML/JSON campaign spec (journaled, resumable)"
     )
     crun_p.add_argument("spec", help="campaign spec file (.toml or .json)")
-    crun_p.add_argument("--backend", choices=("inline", "process", "thread"),
+    crun_p.add_argument("--backend", choices=("inline", "process"),
                         default="inline",
                         help="execution backend (default inline)")
     crun_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="workers for process/thread backends "
+                        help="workers for the process backend "
                              "(0/1 serial, -1 one per CPU)")
     crun_p.add_argument("--journal", default=None, metavar="FILE",
                         help="completion journal path (default: next to the "
@@ -215,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="defense × attack matrix campaign (journaled, resumable)",
     )
     matrix_p.add_argument("--name", default="matrix",
-                          help="matrix name; journals are <name>-<attack>."
-                               "journal.jsonl (default matrix)")
+                          help="matrix name; the journal is <name>.journal.jsonl "
+                               "(default matrix)")
     matrix_p.add_argument("--defense", dest="defenses", action="append",
                           default=None, metavar="NAME",
                           help="defense row to include (repeatable; default: "
@@ -231,17 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--attack-start", type=float, default=30.0)
     matrix_p.add_argument("--runs", type=int, default=2, metavar="N",
                           help="replications per cell (default 2)")
-    matrix_p.add_argument("--backend", choices=("inline", "process", "thread"),
+    matrix_p.add_argument("--backend", choices=("inline", "process"),
                           default="inline",
                           help="execution backend (default inline)")
     matrix_p.add_argument("--jobs", type=int, default=0, metavar="N",
-                          help="workers for process/thread backends "
+                          help="workers for the process backend "
                                "(0/1 serial, -1 one per CPU)")
     matrix_p.add_argument("--journal-dir", default=".repro-matrix",
-                          help="per-attack journal directory "
-                               "(default .repro-matrix)")
+                          help="journal directory (default .repro-matrix)")
     matrix_p.add_argument("--resume", action="store_true",
-                          help="skip every job the journals already record")
+                          help="skip every job the journal already records")
     matrix_p.add_argument("--max-jobs", type=int, default=None, metavar="N",
                           help="execute at most N new jobs across the whole "
                                "matrix, then stop (exit 75; --resume later)")
@@ -304,13 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export_p.add_argument("--out", required=True, metavar="FILE",
                           help="JSONL output path (appended; delete to restart)")
-    export_p.add_argument("--nodes", type=int, default=50)
-    export_p.add_argument("--duration", type=float, default=240.0)
-    export_p.add_argument("--seed", type=int, default=1)
-    export_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    export_p.add_argument("--malicious", type=int, default=2)
-    export_p.add_argument("--attack-start", type=float, default=40.0)
-    export_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(export_p)
     export_p.add_argument("--strict", action="store_true",
                           help="schema-validate every record while emitting")
     export_p.add_argument("--ring", type=int, default=None, metavar="N",
@@ -340,13 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--live", action="store_true",
                           help="run a scenario and report on its live trace "
                                "instead of reading an export")
-    report_p.add_argument("--nodes", type=int, default=50)
-    report_p.add_argument("--duration", type=float, default=240.0)
-    report_p.add_argument("--seed", type=int, default=1)
-    report_p.add_argument("--attack", choices=ATTACK_MODES, default="outofband")
-    report_p.add_argument("--malicious", type=int, default=2)
-    report_p.add_argument("--attack-start", type=float, default=40.0)
-    report_p.add_argument("--defense", choices=DEFENSES, default="liteworp")
+    add_scenario_options(report_p)
     report_p.add_argument("--theta", type=int, default=3,
                           help="alert quorum the analysis assumes (default 3)")
     report_p.add_argument("--step", type=float, default=None, metavar="SECONDS",
@@ -367,8 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
+def _scenario_from_args(
+    args: argparse.Namespace, obs: Optional["ObsConfig"] = None
+) -> ScenarioConfig:
+    """The scenario the ``add_scenario_options`` flags describe."""
+    return ScenarioConfig(
         n_nodes=args.nodes,
         duration=args.duration,
         seed=args.seed,
@@ -376,8 +371,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_malicious=args.malicious if args.attack != "none" else 0,
         attack_start=args.attack_start,
         defense=args.defense,
+        obs=obs,
     )
-    scenario = build_scenario(config)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario = build_scenario(_scenario_from_args(args))
     report = scenario.run()
     print(f"attack={args.attack} defense={args.defense} "
           f"nodes={args.nodes} duration={args.duration}s seed={args.seed}")
@@ -454,6 +453,60 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_stoppable(execute: Callable[[Callable[[], bool]], Any]) -> Any:
+    """Call ``execute(stop)`` under the two-stage SIGINT/SIGTERM contract
+    of every resumable command: the first signal flips the flag ``stop``
+    reads, so the run halts between jobs, the journal gets a final
+    "interrupt" line and the command exits 75 (see :func:`_resume_exit`);
+    a second signal aborts hard.  Previous handlers are restored after.
+    """
+    import signal
+
+    signalled = {"stop": False}
+
+    def _handle_signal(signum: int, frame: object) -> None:
+        if signalled["stop"]:
+            raise KeyboardInterrupt
+        signalled["stop"] = True
+        name = signal.Signals(signum).name
+        print(f"\n{name} received — finishing in-flight jobs and flushing "
+              f"the journal (again to abort hard)", file=sys.stderr)
+
+    previous_handlers = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous_handlers[signum] = signal.signal(signum, _handle_signal)
+        except (ValueError, OSError):
+            pass  # non-main thread or unsupported platform
+    try:
+        return execute(lambda: signalled["stop"])
+    finally:
+        for signum, handler in previous_handlers.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):
+                pass
+
+
+def _resume_exit(what: str, result: Any, max_jobs: Optional[int]) -> int:
+    """Say why an incomplete campaign ``result`` stopped and how to
+    finish it; returns 75 (EX_TEMPFAIL: partial progress, safe to
+    resume)."""
+    if result.interrupted == "signal":
+        reason = f"{what} interrupted by signal"
+    elif result.interrupted == "torn_write":
+        reason = (f"{what} stopped by an injected torn journal write; "
+                  "run 'repro campaign doctor' before resuming")
+    elif result.dead_lettered:
+        reason = (f"{what} finished with {result.dead_lettered} "
+                  f"dead-lettered job(s); see the journal for tracebacks")
+    else:
+        reason = f"{what} stopped after --max-jobs {max_jobs}"
+    print(f"{reason}; {result.completed_jobs}/{result.total_jobs} jobs "
+          f"journaled — rerun with --resume to finish", file=sys.stderr)
+    return 75
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     handlers = {
         "run": _campaign_run,
@@ -466,7 +519,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _campaign_run(args: argparse.Namespace) -> int:
     import pathlib
-    import signal
 
     from repro.experiments.campaign import (
         CampaignError,
@@ -531,29 +583,8 @@ def _campaign_run(args: argparse.Namespace) -> int:
         print(f"chaos: {len(plan)} harness fault(s) armed "
               f"(state {state_dir})", file=sys.stderr)
 
-    # Graceful shutdown: the first SIGINT/SIGTERM flips a flag the runner
-    # polls between jobs, so the journal gets a final "interrupt" line
-    # and the process exits 75 (resumable) instead of dying with a bare
-    # traceback.  A second signal falls through to the default handling.
-    signalled = {"stop": False}
-
-    def _handle_signal(signum: int, frame: object) -> None:
-        if signalled["stop"]:
-            raise KeyboardInterrupt
-        signalled["stop"] = True
-        name = signal.Signals(signum).name
-        print(f"\n{name} received — finishing in-flight jobs and flushing "
-              f"the journal (again to abort hard)", file=sys.stderr)
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _handle_signal)
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
-
     try:
-        result = run_campaign(
+        result = _run_stoppable(lambda stop: run_campaign(
             spec,
             backend=make_backend(args.backend, jobs=args.jobs or None),
             cache=cache,
@@ -566,37 +597,20 @@ def _campaign_run(args: argparse.Namespace) -> int:
             progress=progress,
             trace=trace,
             max_jobs=args.max_jobs,
-            stop=lambda: signalled["stop"],
+            stop=stop,
             fsync=args.fsync,
             harness_faults=harness_faults,
-        )
+        ))
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
         if trace is not None:
             trace.close_sinks()
 
     if not result.complete:
         print(result.format())
-        if result.interrupted == "signal":
-            reason = "campaign interrupted by signal"
-        elif result.interrupted == "torn_write":
-            reason = ("campaign stopped by an injected torn journal write; "
-                      "run 'repro campaign doctor' before resuming")
-        elif result.dead_lettered:
-            reason = (f"campaign finished with {result.dead_lettered} "
-                      f"dead-lettered job(s); see the journal for tracebacks")
-        else:
-            reason = f"campaign stopped after --max-jobs {args.max_jobs}"
-        print(f"{reason}; {result.completed_jobs}/{result.total_jobs} jobs "
-              f"journaled — rerun with --resume to finish", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: partial progress, safe to resume
+        return _resume_exit("campaign", result, args.max_jobs)
     print(result.format())
     if args.out:
         path = pathlib.Path(args.out)
@@ -608,7 +622,6 @@ def _campaign_run(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     import pathlib
-    import signal
 
     from repro.experiments.campaign import (
         CampaignError,
@@ -652,27 +665,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             printer=lambda line: print(line, file=sys.stderr)
         )
 
-    # Same graceful-shutdown contract as ``campaign run``: first signal
-    # stops between jobs (journals flushed, exit 75), second aborts hard.
-    signalled = {"stop": False}
-
-    def _handle_signal(signum: int, frame: object) -> None:
-        if signalled["stop"]:
-            raise KeyboardInterrupt
-        signalled["stop"] = True
-        name = signal.Signals(signum).name
-        print(f"\n{name} received — finishing in-flight jobs and flushing "
-              f"the journals (again to abort hard)", file=sys.stderr)
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _handle_signal)
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
-
     try:
-        result = run_matrix(
+        result = _run_stoppable(lambda stop: run_matrix(
             spec,
             journal_dir=args.journal_dir,
             backend=make_backend(args.backend, jobs=args.jobs or None),
@@ -682,30 +676,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             supervision=SupervisionPolicy(timeout=args.timeout),
             progress=progress,
             max_jobs=args.max_jobs,
-            stop=lambda: signalled["stop"],
+            stop=stop,
             fsync=args.fsync,
-        )
+        ))
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):
-                pass
 
     print(result.format(), file=sys.stderr)
     if not result.complete:
-        if result.interrupted == "signal":
-            reason = "matrix interrupted by signal"
-        elif args.max_jobs is not None:
-            reason = f"matrix stopped after --max-jobs {args.max_jobs}"
-        else:
-            reason = "matrix stopped before completing"
-        print(f"{reason}; {result.completed_jobs}/{spec.total_jobs()} jobs "
-              f"journaled — rerun with --resume to finish", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: partial progress, safe to resume
+        return _resume_exit("matrix", result.campaign, args.max_jobs)
     report = result.report
     markdown = report.to_markdown()
     if args.md_path:
@@ -884,17 +864,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _trace_export(args: argparse.Namespace) -> int:
     from repro.obs.config import ObsConfig
 
-    config = ScenarioConfig(
-        n_nodes=args.nodes,
-        duration=args.duration,
-        seed=args.seed,
-        attack_mode=args.attack,
-        n_malicious=args.malicious if args.attack != "none" else 0,
-        attack_start=args.attack_start,
-        defense=args.defense,
-        obs=ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring),
-    )
-    scenario = build_scenario(config)
+    scenario = build_scenario(_scenario_from_args(
+        args,
+        ObsConfig(trace_path=args.out, strict=args.strict, ring_capacity=args.ring),
+    ))
     scenario.run()
     print(f"exported {scenario.trace.total_emitted} records to {args.out}")
     print(f"peak resident records : {scenario.trace.peak_resident}")
@@ -1021,22 +994,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     if args.live:
-        config = ScenarioConfig(
-            n_nodes=args.nodes,
-            duration=args.duration,
-            seed=args.seed,
-            attack_mode=args.attack,
-            n_malicious=args.malicious if args.attack != "none" else 0,
-            attack_start=args.attack_start,
-            defense=args.defense,
-        )
+        obs = None
         if args.out is not None:
-            import dataclasses
-
             from repro.obs.config import ObsConfig
 
-            config = dataclasses.replace(config, obs=ObsConfig(trace_path=args.out))
-        scenario = build_scenario(config)
+            obs = ObsConfig(trace_path=args.out)
+        scenario = build_scenario(_scenario_from_args(args, obs))
         builder = ReportBuilder(theta=args.theta, step=args.step)
         builder.attach(scenario.trace)
         scenario.run()

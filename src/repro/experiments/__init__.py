@@ -29,7 +29,6 @@ from repro.experiments.chaos import (
     run_chaos,
 )
 from repro.experiments.parameters import TABLE2, Table2Parameters
-from repro.experiments.records import ExperimentRecord, run_and_record
 from repro.experiments.scenario import (
     Scenario,
     ScenarioConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "CampaignSpec",
     "ChaosConfig",
     "ChaosResult",
-    "ExperimentRecord",
     "Fig10Result",
     "Fig8Result",
     "Fig9Result",
@@ -66,7 +64,6 @@ __all__ = [
     "load_spec",
     "make_chaos_plan",
     "run_campaign",
-    "run_and_record",
     "run_chaos",
     "run_fig10",
     "run_fig8",

@@ -24,11 +24,10 @@ figure's points need not form a grid) with no journal at all.
   unterminated tail fragment is truncated before new lines land).
   Resuming loads the journal, skips every recorded job, and produces
   byte-identical aggregates to an uninterrupted run.
-- **Pluggable execution** — ``inline`` (serial, in-process), ``process``
-  (a worker-process pool, one future per job), and ``thread`` (for
-  IO-bound trace-exporting jobs) backends share one retry/backoff loop:
-  a crashed worker fails only its own job, which is re-dispatched up to
-  :class:`RetryPolicy.retries` times.
+- **Pluggable execution** — ``inline`` (serial, in-process) and
+  ``process`` (a worker-process pool, one future per job) backends share
+  one retry/backoff loop: a crashed worker fails only its own job, which
+  is re-dispatched up to :class:`RetryPolicy.retries` times.
 - **Supervision** — a :class:`SupervisionPolicy` adds per-job wall-clock
   timeouts (hung workers are preempted and their pool torn down), result
   payload validation, and poison-job quarantine: a job that keeps
@@ -67,7 +66,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -150,14 +148,62 @@ def apply_overrides(config: ScenarioConfig, overrides: Mapping[str, Any]) -> Sce
     return dataclasses.replace(config, **flat)
 
 
+class AxisTable(dict):
+    """A table-valued axis entry (a ``{name, config}`` defense, or one
+    coupled setting of a label axis).
+
+    A plain dict that hashes by its items, so sweep points stay usable as
+    keys, while ``json`` still renders it as an object and
+    :func:`~repro.experiments.cache.config_digest` sees an ordinary
+    mapping.  The spec freezes every table it is given; nothing mutates
+    one afterwards.
+    """
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(tuple(sorted(self.items())))
+
+
+def _freeze(value: Any) -> Any:
+    """Recursively turn mappings into :class:`AxisTable` and lists into
+    tuples, so an axis value is hashable (digest rendering unchanged)."""
+    if isinstance(value, Mapping):
+        return AxisTable((str(k), _freeze(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
+def _is_field_path(config: Any, path: str) -> bool:
+    """Whether dotted ``path`` names a field of ``config`` (recursing into
+    nested dataclass fields)."""
+    for part in path.split("."):
+        if not dataclasses.is_dataclass(config) or part not in {
+            f.name for f in dataclasses.fields(config)
+        }:
+            return False
+        config = getattr(config, part)
+    return True
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A declarative campaign: base config × axis grid × replications.
 
-    ``axes`` maps a (possibly dotted) :class:`ScenarioConfig` field path
-    to the sequence of values to sweep; the campaign is the cartesian
-    product over all axes in sorted-name order, each point replicated
-    ``runs`` times with hash-derived seeds.
+    ``axes`` maps an axis name to the sequence of values to sweep; the
+    campaign is the cartesian product over all axes in sorted-name order,
+    each point replicated ``runs`` times with hash-derived seeds.  What a
+    value means depends only on the axis name:
+
+    - an axis named after a (possibly dotted) :class:`ScenarioConfig`
+      field path sets that field, e.g. ``defense`` over
+      ``["none", {"name": "rtt", "config": {"alpha": 2.5}}]``;
+    - any other name is a *label*: each value is a table of dotted-path
+      overrides applied together (a *coupled* axis), e.g. ``attack`` over
+      ``[{"attack_mode": "outofband", "n_malicious": 2},
+      {"attack_mode": "relay", "n_malicious": 1}]``.
+
+    A label value that is not a table, a table naming an unknown field,
+    and two axes setting the same field all raise :class:`CampaignError`.
     """
 
     name: str
@@ -171,12 +217,59 @@ class CampaignSpec:
         if self.runs < 1:
             raise CampaignError(f"runs must be at least 1, got {self.runs!r}")
         normalized = tuple(
-            (str(axis), tuple(values)) for axis, values in sorted(self.axes)
+            (str(axis), tuple(_freeze(value) for value in values))
+            for axis, values in sorted(self.axes, key=lambda item: str(item[0]))
         )
+        owners: Dict[str, str] = {}
         for axis, values in normalized:
             if not values:
                 raise CampaignError(f"axis {axis!r} has no values")
+            for path in self._axis_fields(axis, values):
+                for other_path, owner in owners.items():
+                    if (path == other_path or path.startswith(other_path + ".")
+                            or other_path.startswith(path + ".")):
+                        raise CampaignError(
+                            f"axes {owner!r} and {axis!r} both set field "
+                            f"{min(path, other_path, key=len)!r}"
+                        )
+                owners[path] = axis
         object.__setattr__(self, "axes", normalized)
+
+    def _is_label(self, axis: str) -> bool:
+        """A label axis is one not named after a ``base`` field (path)."""
+        head = axis.split(".", 1)[0]
+        return head not in {f.name for f in dataclasses.fields(self.base)}
+
+    def _axis_fields(self, axis: str, values: Tuple[Any, ...]) -> List[str]:
+        """The field paths ``axis`` sets (validating label-axis tables)."""
+        if not self._is_label(axis):
+            return [axis]
+        paths: Dict[str, None] = {}
+        for value in values:
+            if not isinstance(value, Mapping):
+                raise CampaignError(
+                    f"axis {axis!r} is not a ScenarioConfig field, so each of "
+                    f"its values must be a table of field overrides; got {value!r}"
+                )
+            for path in value:
+                if not _is_field_path(self.base, path):
+                    raise CampaignError(
+                        f"unknown {type(self.base).__name__} field {path!r} "
+                        f"in axis {axis!r}"
+                    )
+                paths[path] = None
+        return list(paths)
+
+    def overrides(self, point: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
+        """The dotted-path overrides one sweep point applies to ``base``
+        (label-axis tables expanded in place)."""
+        merged: Dict[str, Any] = {}
+        for axis, value in point:
+            if self._is_label(axis):
+                merged.update(value)
+            else:
+                merged[axis] = value
+        return merged
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignSpec":
@@ -187,7 +280,8 @@ class CampaignSpec:
              "axes": {"n_malicious": [0, 2], "defense": ["none", "liteworp"]}}
 
         ``base`` accepts dotted paths for nested configs exactly like the
-        axes do.
+        axes do; a label axis lists override tables, e.g.
+        ``"attack": [{"attack_mode": "relay", "n_malicious": 1}]``.
         """
         payload = dict(payload)
         unknown = set(payload) - {"name", "base", "axes", "runs"}
@@ -300,7 +394,7 @@ def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
         jobs: List[CampaignJob] = []
         for point in spec.points():
             try:
-                point_config = apply_overrides(spec.base, dict(point))
+                point_config = apply_overrides(spec.base, spec.overrides(point))
             except (TypeError, ValueError) as exc:
                 raise CampaignError(
                     f"invalid sweep point {dict(point)!r}: {exc}"
@@ -690,22 +784,39 @@ def _future_error(future: Any) -> Optional[BaseException]:
         return exc
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared future-juggling for the executor-based backends."""
+def _reset_worker_signals() -> None:
+    """Restore default signal dispositions in pool worker processes.
+
+    Fork-started workers inherit whatever SIGINT/SIGTERM handlers the
+    parent CLI installed, which would make them *survive* the
+    ``terminate()`` used to preempt hung jobs (the inherited handler
+    merely sets the parent's stop flag).  Workers must die on SIGTERM
+    and leave Ctrl-C handling to the supervising parent.
+    """
+    import signal as signal_module
+
+    try:
+        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
+        signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+    except (ValueError, OSError):  # non-main thread / exotic platform
+        pass
+
+
+class ProcessBackend(ExecutionBackend):
+    """Process-pool execution, one future per job so a crashed worker
+    fails only its own job.  The only process pool in the package."""
+
+    name = "process"
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs
-
-    def _make_executor(self, workers: int) -> Executor:
-        raise NotImplementedError
 
     def _kill(self, executor: Executor) -> None:
         """Tear an executor down without waiting for hung workers.
 
         ``ProcessPoolExecutor`` offers no per-future kill, so preemption
-        is wholesale: terminate the worker processes (if the executor
-        has any), then discard the pool.  Thread pools cannot be killed
-        — their stuck threads are abandoned (documented limitation)."""
+        is wholesale: terminate the worker processes, then discard the
+        pool."""
         processes = getattr(executor, "_processes", None)
         if processes:
             for process in list(processes.values()):
@@ -738,7 +849,9 @@ class _PoolBackend(ExecutionBackend):
     def _run_window(self, fn, queue, workers, timeout, should_stop):
         results: Dict[int, MetricsReport] = {}
         failures: Dict[int, BaseException] = {}
-        executor = self._make_executor(workers)
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_reset_worker_signals
+        )
         inflight: Dict[Any, Tuple[int, float]] = {}
         broken = False
         if timeout is not None:
@@ -840,59 +953,14 @@ class _PoolBackend(ExecutionBackend):
         return results, failures
 
 
-def _reset_worker_signals() -> None:
-    """Restore default signal dispositions in pool worker processes.
-
-    Fork-started workers inherit whatever SIGINT/SIGTERM handlers the
-    parent CLI installed, which would make them *survive* the
-    ``terminate()`` used to preempt hung jobs (the inherited handler
-    merely sets the parent's stop flag).  Workers must die on SIGTERM
-    and leave Ctrl-C handling to the supervising parent.
-    """
-    import signal as signal_module
-
-    try:
-        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
-        signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / exotic platform
-        pass
-
-
-class ProcessBackend(_PoolBackend):
-    """Process-pool execution, one future per job so a crashed worker
-    fails only its own job.  The only process pool in the package."""
-
-    name = "process"
-
-    def _make_executor(self, workers: int) -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_reset_worker_signals
-        )
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread-pool execution for IO-bound jobs (e.g. trace-exporting
-    configs whose wall clock is dominated by JSONL appends).
-
-    Threads cannot be killed: a hung job is *recorded* as timed out and
-    its executor abandoned, but the stuck thread itself lingers until it
-    returns — prefer the process backend when jobs may wedge."""
-
-    name = "thread"
-
-    def _make_executor(self, workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=workers)
-
-
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     "inline": lambda jobs=None: InlineBackend(),
     "process": ProcessBackend,
-    "thread": ThreadBackend,
 }
 
 
 def make_backend(name: str, jobs: Optional[int] = None) -> ExecutionBackend:
-    """Instantiate a backend by name (``inline``, ``process``, ``thread``)."""
+    """Instantiate a backend by name (``inline`` or ``process``)."""
     try:
         factory = BACKENDS[name]
     except KeyError:
@@ -1562,7 +1630,7 @@ def run_campaign(
 
     ``spec`` may be a :class:`CampaignSpec`, a dict in the
     :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON spec
-    file.  ``backend`` is a name (``inline``/``process``/``thread``) or a
+    file.  ``backend`` is a name (``inline``/``process``) or a
     ready :class:`ExecutionBackend` instance.
     """
     if isinstance(spec, (str, Path)):
@@ -1590,6 +1658,7 @@ def run_campaign(
 
 
 __all__ = [
+    "AxisTable",
     "BACKENDS",
     "CampaignError",
     "CampaignJob",
@@ -1608,7 +1677,6 @@ __all__ = [
     "ProcessBackend",
     "RetryPolicy",
     "SupervisionPolicy",
-    "ThreadBackend",
     "WorkerLostError",
     "WorkerPreempted",
     "aggregate_campaign",

@@ -4,34 +4,32 @@
 question the single-defense figures cannot: *which* registered defense
 detects *which* wormhole variant, at what isolation latency and what
 cost.  A :class:`MatrixSpec` compiles into one
-:class:`~repro.experiments.campaign.CampaignSpec` per attack mode — the
-malicious-node count co-varies with the mode (tunnel modes need two
-colluders, the single-attacker modes exactly one, the control column
-none), which is why the attack axis cannot be an ordinary campaign axis —
-each with a ``defense`` axis over every requested registry name.
+:class:`~repro.experiments.campaign.CampaignSpec` with two axes: a
+coupled ``attack`` label axis whose tables set the mode *and* the
+malicious-node count it needs (tunnel modes need two colluders, the
+single-attacker modes exactly one, the control column none), and a
+``defense`` axis over every requested registry name.
 
-Execution rides the campaign orchestrator unchanged: every per-attack
-campaign is journaled (``<name>-<attack>.journal.jsonl`` under the
-journal directory), cached, supervised, and resumable, and ``--max-jobs``
-/ SIGINT stop the whole matrix with exit 75 exactly like ``repro
-campaign run``.  Once every campaign is complete,
-:func:`aggregate_matrix` reloads the journals and folds each cell's
-replications into detection rate (the *plugin's* :meth:`Defense.detected`
-verdict, so schemes that flag without LITEWORP-style isolation still
-count), isolation/detection latency, delivery and drop fractions, and
-the plugin's own :meth:`Defense.metrics_contribution` surface — rendered
-as one markdown + JSON :class:`~repro.obs.report.MatrixReport`.
-Aggregation is a pure function of the journaled reports, so a matrix
-interrupted and resumed produces byte-identical output to an
-uninterrupted one.
+Execution is an ordinary campaign run: journaled to
+``<name>.journal.jsonl`` under the journal directory, cached, supervised,
+and resumable, and ``--max-jobs`` / SIGINT stop it with exit 75 exactly
+like ``repro campaign run`` (``repro campaign status`` and ``doctor``
+read the matrix journal like any other).  Once the campaign is complete,
+:func:`aggregate_matrix` folds each cell's replications into detection
+rate (the *plugin's* :meth:`Defense.detected` verdict, so schemes that
+flag without LITEWORP-style isolation still count), isolation/detection
+latency, delivery and drop fractions, and the plugin's own
+:meth:`Defense.metrics_contribution` surface — rendered as one markdown +
+JSON :class:`~repro.obs.report.MatrixReport`.  Aggregation is a pure
+function of the campaign's reports, so a matrix interrupted and resumed
+produces byte-identical output to an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.coordinator import TUNNEL_MODES
 from repro.defenses import available_defenses, get_defense
@@ -44,7 +42,6 @@ from repro.experiments.campaign import (
     RetryPolicy,
     SupervisionPolicy,
     compile_campaign,
-    load_journal,
     run_campaign,
 )
 from repro.experiments.scenario import ATTACK_MODES, ScenarioConfig
@@ -65,8 +62,8 @@ def attack_malicious(mode: str, colluders: int = 2) -> int:
 
     Tunnel modes need at least two colluding endpoints, the
     single-attacker modes exactly one, and the ``none`` control column
-    zero — which is why the attack axis compiles to separate campaigns
-    instead of a plain config axis.
+    zero — which is why the matrix's ``attack`` axis is a coupled label
+    axis instead of a plain ``attack_mode`` axis.
     """
     if mode == "none":
         return 0
@@ -82,8 +79,8 @@ class MatrixSpec:
     Parameters
     ----------
     name:
-        Matrix name; per-attack campaigns are ``<name>-<attack>`` and
-        their journals ``<name>-<attack>.journal.jsonl``.
+        Matrix name; also the campaign's name, journaled to
+        ``<name>.journal.jsonl``.
     base:
         Scenario template every cell is built from.  ``attack_mode``,
         ``n_malicious`` and ``defense`` are overwritten per cell; all
@@ -139,30 +136,21 @@ class MatrixSpec:
         object.__setattr__(self, "attacks", attacks)
         object.__setattr__(self, "defenses", defenses)
 
-    def campaign_for(self, attack: str) -> CampaignSpec:
-        """The per-attack campaign: base with the mode (and its required
-        malicious count) pinned, swept over the defense axis."""
-        if attack not in self.attacks:
-            raise CampaignError(f"attack {attack!r} is not part of this matrix")
-        base = dataclasses.replace(
-            self.base,
-            attack_mode=attack,
-            n_malicious=attack_malicious(attack, self.colluders),
+    def to_campaign(self) -> CampaignSpec:
+        """The one campaign behind the matrix: a coupled ``attack`` axis
+        (mode plus its required malicious count) × the ``defense`` axis.
+        Axes sort by name, so jobs run attack-major, then defense."""
+        attack_axis = tuple(
+            {"attack_mode": attack,
+             "n_malicious": attack_malicious(attack, self.colluders)}
+            for attack in self.attacks
         )
         return CampaignSpec(
-            name=f"{self.name}-{attack}",
-            base=base,
-            axes=(("defense", self.defenses),),
+            name=self.name,
+            base=self.base,
+            axes=(("attack", attack_axis), ("defense", self.defenses)),
             runs=self.runs,
         )
-
-    def campaigns(self) -> List[CampaignSpec]:
-        """Every per-attack campaign, in attack order."""
-        return [self.campaign_for(attack) for attack in self.attacks]
-
-    def journal_for(self, attack: str, journal_dir: Union[str, Path]) -> Path:
-        """Journal path of the per-attack campaign."""
-        return Path(journal_dir) / f"{self.name}-{attack}.journal.jsonl"
 
     def total_jobs(self) -> int:
         """Cells × replications across the whole matrix."""
@@ -170,7 +158,7 @@ class MatrixSpec:
 
 
 # ----------------------------------------------------------------------
-# Aggregation: journals -> MatrixReport
+# Aggregation: campaign reports -> MatrixReport
 # ----------------------------------------------------------------------
 def _mean(values: List[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
@@ -220,45 +208,36 @@ def _cell_metrics(defense: str, reports: List[MetricsReport]) -> Dict[str, Any]:
 
 
 def aggregate_matrix(
-    spec: MatrixSpec, journal_dir: Union[str, Path]
+    spec: MatrixSpec, reports: Sequence[MetricsReport]
 ) -> MatrixReport:
-    """Reload every per-attack journal and fold the cells into one
+    """Fold the matrix campaign's reports (in job order, as
+    :attr:`CampaignResult.reports` holds them) into one
     :class:`~repro.obs.report.MatrixReport`.
 
-    Raises :class:`~repro.experiments.campaign.CampaignError` when any
-    cell's replications are missing from its journal — run the matrix to
-    completion (``--resume`` after an interruption) first.
+    Raises :class:`~repro.experiments.campaign.CampaignError` when the
+    reports do not cover every job — run the matrix to completion
+    (``--resume`` after an interruption) first.
     """
     with span("matrix.aggregate"):
-        cells: List[Dict[str, Any]] = []
-        for attack in spec.attacks:
-            campaign = spec.campaign_for(attack)
-            journal = spec.journal_for(attack, journal_dir)
-            try:
-                state = load_journal(journal, tolerate_partial=True)
-            except CampaignError as exc:
-                raise CampaignError(
-                    f"matrix {spec.name!r} has no complete journal for "
-                    f"attack {attack!r}: {exc}"
-                ) from exc
-            by_defense: Dict[str, List[MetricsReport]] = {}
-            for job in compile_campaign(campaign):
-                report = state.reports.get(job.digest)
-                if report is None:
-                    raise CampaignError(
-                        f"journal {journal} is missing job {job.label()}; "
-                        f"run the matrix to completion (--resume) first"
-                    )
-                defense = dict(job.point)["defense"]
-                by_defense.setdefault(defense, []).append(report)
-            for defense in spec.defenses:
-                cells.append(
-                    {
-                        "attack": attack,
-                        "defense": defense,
-                        "metrics": _cell_metrics(defense, by_defense[defense]),
-                    }
-                )
+        jobs = compile_campaign(spec.to_campaign())
+        if len(reports) != len(jobs):
+            raise CampaignError(
+                f"matrix {spec.name!r} has {len(reports)} of its {len(jobs)} "
+                f"job reports; run the matrix to completion (--resume) first"
+            )
+        by_cell: Dict[Tuple[str, str], List[MetricsReport]] = {}
+        for job, report in zip(jobs, reports):
+            cell = (job.config.attack_mode, dict(job.point)["defense"])
+            by_cell.setdefault(cell, []).append(report)
+        cells = [
+            {
+                "attack": attack,
+                "defense": defense,
+                "metrics": _cell_metrics(defense, by_cell[(attack, defense)]),
+            }
+            for attack in spec.attacks
+            for defense in spec.defenses
+        ]
         return MatrixReport(
             payload={
                 "matrix": spec.name,
@@ -281,50 +260,47 @@ def aggregate_matrix(
 # ----------------------------------------------------------------------
 @dataclass
 class MatrixResult:
-    """Outcome of one :func:`run_matrix` invocation."""
+    """Outcome of one :func:`run_matrix` invocation: the matrix campaign's
+    result, plus the rendered report once it is complete."""
 
     spec: MatrixSpec
-    campaigns: Dict[str, CampaignResult]
-    complete: bool
+    campaign: CampaignResult
     report: Optional[MatrixReport] = None
 
     @property
+    def complete(self) -> bool:
+        return self.campaign.complete
+
+    @property
     def executed(self) -> int:
-        return sum(r.executed for r in self.campaigns.values())
+        return self.campaign.executed
 
     @property
     def completed_jobs(self) -> int:
-        return sum(r.completed_jobs for r in self.campaigns.values())
+        return self.campaign.completed_jobs
 
     @property
     def interrupted(self) -> Optional[str]:
-        for result in self.campaigns.values():
-            if result.interrupted is not None:
-                return result.interrupted
-        return None
+        return self.campaign.interrupted
 
     def format(self) -> str:
         """Stable one-screen execution summary (the report renders the
         matrix itself)."""
-        lines = [
+        result = self.campaign
+        line = (
             f"matrix {self.spec.name}"
             f" cells={len(self.spec.attacks) * len(self.spec.defenses)}"
-            f" jobs={self.spec.total_jobs()}"
-            f" completed={self.completed_jobs}"
-            f" complete={'yes' if self.complete else 'no'}"
-        ]
-        for attack in self.spec.attacks:
-            result = self.campaigns.get(attack)
-            if result is None:
-                lines.append(f"  {attack:<14s} not started")
-            else:
-                lines.append(
-                    f"  {attack:<14s} executed={result.executed}"
-                    f" cache={result.from_cache}"
-                    f" journal={result.from_journal}"
-                    f" complete={'yes' if result.complete else 'no'}"
-                )
-        return "\n".join(lines)
+            f" jobs={result.total_jobs}"
+            f" completed={result.completed_jobs}"
+            f" complete={'yes' if result.complete else 'no'}"
+            f"\n  executed={result.executed}"
+            f" cache={result.from_cache}"
+            f" journal={result.from_journal}"
+            f" retried={result.retried}"
+        )
+        if result.dead_lettered:
+            line += f" dead_lettered={result.dead_lettered}"
+        return line
 
 
 def run_matrix(
@@ -343,51 +319,34 @@ def run_matrix(
     stop: Optional[Callable[[], bool]] = None,
     fsync: bool = True,
 ) -> MatrixResult:
-    """Run (or resume) every per-attack campaign, then aggregate.
+    """Run (or resume) the matrix campaign, then aggregate.
 
-    The journal directory is mandatory: the aggregation reloads the
-    journals, so an unjournaled matrix could never render its report.
-    ``max_jobs`` budgets *new* jobs across the whole matrix; when the
-    budget runs out (or ``stop`` fires) the result comes back incomplete
-    and a later ``resume=True`` call picks up where it stopped,
-    producing a byte-identical report to an uninterrupted run.
+    The journal is ``<journal_dir>/<name>.journal.jsonl`` (journals of
+    the older one-campaign-per-attack layout are not resumed; their
+    cached job results still hit, because job digests are unchanged).
+    ``max_jobs`` and ``stop`` interrupt it like any campaign: the result
+    comes back incomplete and a later ``resume=True`` call picks up
+    where it stopped, producing a byte-identical report to an
+    uninterrupted run.
     """
-    campaigns: Dict[str, CampaignResult] = {}
-    complete = True
-    remaining = max_jobs
     with span("matrix.run"):
-        for attack in spec.attacks:
-            if stop is not None and stop():
-                complete = False
-                break
-            if remaining is not None and remaining <= 0:
-                complete = False
-                break
-            result = run_campaign(
-                spec.campaign_for(attack),
-                backend=backend,
-                jobs=jobs,
-                cache=cache,
-                journal=spec.journal_for(attack, journal_dir),
-                resume=resume,
-                retry=retry,
-                supervision=supervision,
-                progress=progress,
-                trace=trace,
-                max_jobs=remaining,
-                stop=stop,
-                fsync=fsync,
-            )
-            campaigns[attack] = result
-            if remaining is not None:
-                remaining -= result.executed
-            if not result.complete:
-                complete = False
-                break
-    report = aggregate_matrix(spec, journal_dir) if complete else None
-    return MatrixResult(
-        spec=spec, campaigns=campaigns, complete=complete, report=report
-    )
+        result = run_campaign(
+            spec.to_campaign(),
+            backend=backend,
+            jobs=jobs,
+            cache=cache,
+            journal=Path(journal_dir) / f"{spec.name}.journal.jsonl",
+            resume=resume,
+            retry=retry,
+            supervision=supervision,
+            progress=progress,
+            trace=trace,
+            max_jobs=max_jobs,
+            stop=stop,
+            fsync=fsync,
+        )
+    report = aggregate_matrix(spec, result.reports) if result.complete else None
+    return MatrixResult(spec=spec, campaign=result, report=report)
 
 
 __all__ = [

@@ -384,8 +384,8 @@ class MatrixReport:
     """A finished defense × attack matrix: one JSON payload plus renderers.
 
     Produced by :func:`repro.experiments.matrix.aggregate_matrix` from the
-    per-attack campaign journals; the payload is a pure function of the
-    journaled reports, so an interrupted-and-resumed matrix renders
+    matrix campaign's reports; the payload is a pure function of those
+    reports, so an interrupted-and-resumed matrix renders
     byte-identical JSON to an uninterrupted one (the CI smoke job asserts
     this).
     """

@@ -15,7 +15,6 @@ from repro.experiments.campaign import (
     ProcessBackend,
     RetryPolicy,
     SupervisionPolicy,
-    ThreadBackend,
     apply_overrides,
     compile_campaign,
     load_journal,
@@ -24,6 +23,7 @@ from repro.experiments.campaign import (
     run_campaign,
     run_configs,
 )
+from repro.core.config import LiteworpConfig
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.obs.progress import CampaignProgress
 
@@ -79,6 +79,64 @@ def test_spec_validation():
         CampaignSpec(name="x", runs=0)
     with pytest.raises(CampaignError):
         CampaignSpec(name="x", axes=(("n_malicious", ()),))
+    # A label axis (not a ScenarioConfig field) takes only override tables.
+    with pytest.raises(CampaignError, match="table of field overrides"):
+        CampaignSpec(name="x", axes=(("attack", ("relay",)),))
+    with pytest.raises(CampaignError, match="unknown ScenarioConfig field 'n_evil'"):
+        CampaignSpec(name="x", axes=(("attack", ({"n_evil": 1},)),))
+    with pytest.raises(CampaignError, match="unknown ScenarioConfig field 'liteworp.nested'"):
+        CampaignSpec(name="x", axes=(("tuning", ({"liteworp.nested": 1},)),))
+    # Two axes may not set the same field (or one inside the other).
+    with pytest.raises(CampaignError, match="both set field 'n_malicious'"):
+        CampaignSpec(name="x", axes=(
+            ("attack", ({"attack_mode": "relay", "n_malicious": 1},)),
+            ("n_malicious", (0, 2)),
+        ))
+    with pytest.raises(CampaignError, match="both set field 'liteworp'"):
+        CampaignSpec(name="x", axes=(
+            ("liteworp", (LiteworpConfig(),)),
+            ("tuning", ({"liteworp.theta": 4},)),
+        ))
+
+
+def _coupled_spec_payload():
+    return {
+        "name": "coupled",
+        "base": {"n_nodes": 16, "duration": 30.0, "seed": 4, "attack_start": 10.0},
+        "axes": {
+            "attack": [
+                {"attack_mode": "outofband", "n_malicious": 2},
+                {"attack_mode": "relay", "n_malicious": 1},
+            ],
+            "defense": ["none", {"name": "rtt", "config": {"alpha": 2.5}}],
+        },
+    }
+
+
+def test_coupled_axes_compile_to_the_pinned_base_jobs():
+    from_dict = CampaignSpec.from_dict(_coupled_spec_payload())
+    jobs = compile_campaign(from_dict)
+    # Each attack table sets both fields together; the defense axis keeps
+    # its plain-field meaning, mappings included.
+    assert [(j.config.attack_mode, j.config.n_malicious, j.config.defense.name)
+            for j in jobs] == [
+        ("outofband", 2, "none"), ("outofband", 2, "rtt"),
+        ("relay", 1, "none"), ("relay", 1, "rtt"),
+    ]
+    assert jobs[1].config.defense.config.alpha == 2.5
+    # The coupled campaign compiles to the same jobs as a base pinned per
+    # attack: job digests depend only on the concrete config.
+    pinned = CampaignSpec(
+        name="pinned",
+        base=apply_overrides(from_dict.base, {"attack_mode": "relay", "n_malicious": 1}),
+        axes=(("defense", ("none", {"name": "rtt", "config": {"alpha": 2.5}})),),
+    )
+    assert [j.digest for j in compile_campaign(pinned)] == [j.digest for j in jobs[2:]]
+    # Points are hashable, and tables render as JSON objects.
+    assert len({job.point for job in jobs}) == 4
+    assert json.loads(json.dumps(dict(jobs[1].point)))["attack"] == {
+        "attack_mode": "outofband", "n_malicious": 2
+    }
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -114,6 +172,25 @@ def test_load_spec_toml_and_json_agree(tmp_path):
     assert from_toml == from_json
     assert from_toml.digest() == from_json.digest()
     assert from_toml.base.liteworp.theta == 4
+
+    # Coupled (label) axes and table-valued field axes load the same way.
+    coupled_toml = tmp_path / "coupled.toml"
+    coupled_toml.write_text(
+        'name = "coupled"\n'
+        "[base]\n"
+        "n_nodes = 16\n"
+        "duration = 30.0\n"
+        "seed = 4\n"
+        "attack_start = 10.0\n"
+        "[axes]\n"
+        'attack = [{attack_mode = "outofband", n_malicious = 2},\n'
+        '          {attack_mode = "relay", n_malicious = 1}]\n'
+        'defense = ["none", {name = "rtt", config = {alpha = 2.5}}]\n'
+    )
+    coupled_json = tmp_path / "coupled.json"
+    coupled_json.write_text(json.dumps(_coupled_spec_payload()))
+    assert load_spec(coupled_toml) == load_spec(coupled_json)
+    assert load_spec(coupled_toml).digest() == load_spec(coupled_json).digest()
 
 
 def test_load_spec_bad_file(tmp_path):
@@ -292,6 +369,30 @@ def test_campaign_hands_back_reports_in_job_order(tmp_path):
     assert [r.to_state() for r in replay.reports] == [r.to_state() for r in plain]
 
 
+def test_defense_table_axis_aggregates_and_resumes(tmp_path):
+    """A ``defense`` axis of ``{name, config}`` tables (the form
+    docs/DEFENSES.md shows) journals, aggregates, and resumes — tables
+    are hashable points and render as JSON objects."""
+    spec = CampaignSpec.from_dict({
+        "name": "rtt-alpha",
+        "base": {"n_nodes": 16, "duration": 30.0, "seed": 4, "attack_start": 10.0},
+        "axes": {"defense": [
+            {"name": "rtt", "config": {"alpha": alpha}} for alpha in (2.0, 3.0)
+        ]},
+    })
+    journal = tmp_path / "j.jsonl"
+    straight = run_campaign(spec, journal=journal)
+    assert straight.complete
+    points = [entry["point"] for entry in json.loads(straight.to_json())["points"]]
+    assert points == [
+        {"defense": {"config": {"alpha": 2.0}, "name": "rtt"}},
+        {"defense": {"config": {"alpha": 3.0}, "name": "rtt"}},
+    ]
+    resumed = run_campaign(spec, journal=journal, resume=True)
+    assert resumed.from_journal == 2
+    assert resumed.to_json() == straight.to_json()
+
+
 def test_resume_rejects_spec_mismatch(tmp_path):
     journal = tmp_path / "j.jsonl"
     run_campaign(tiny_spec(name="alpha"), journal=journal, max_jobs=1)
@@ -307,21 +408,12 @@ def test_resume_requires_journal_path():
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-def test_thread_backend_matches_inline(tmp_path):
-    spec = tiny_spec(runs=1)
-    inline = run_campaign(spec, backend="inline")
-    threaded = run_campaign(spec, backend=ThreadBackend(jobs=2))
-    assert json.dumps(inline.aggregate, sort_keys=True) == json.dumps(
-        threaded.aggregate, sort_keys=True
-    )
-
-
 def test_make_backend_names():
     assert isinstance(make_backend("inline"), InlineBackend)
     assert isinstance(make_backend("process", jobs=2), ProcessBackend)
-    assert isinstance(make_backend("thread", jobs=2), ThreadBackend)
-    with pytest.raises(CampaignError, match="unknown backend"):
-        make_backend("quantum")
+    for name in ("quantum", "thread"):
+        with pytest.raises(CampaignError, match="unknown backend"):
+            make_backend(name)
 
 
 def test_cache_serves_second_campaign(tmp_path):

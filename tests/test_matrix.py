@@ -1,19 +1,20 @@
 """Matrix campaigns: spec compilation, execution, resume byte-identity.
 
-The matrix rides the campaign orchestrator — these tests pin the parts
-the matrix adds on top: per-attack malicious-count co-variation, journal
-layout, cell aggregation through the *plugin's* detection verdict, and
-the interrupt/resume → byte-identical-report guarantee the CI smoke job
-re-checks end to end.
+The matrix is one ordinary campaign — these tests pin the parts the
+matrix adds on top: the coupled attack axis (malicious count co-varies
+with the mode), its single journal, cell aggregation through the
+*plugin's* detection verdict, and the interrupt/resume →
+byte-identical-report guarantee the CI smoke job re-checks end to end.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from repro.experiments.campaign import CampaignError
+from repro.experiments.campaign import CampaignError, compile_campaign, load_journal
 from repro.experiments.matrix import (
     DEFAULT_MATRIX_ATTACKS,
     MatrixSpec,
@@ -23,6 +24,14 @@ from repro.experiments.matrix import (
 )
 from repro.experiments.scenario import ScenarioConfig
 from repro.obs.report import MatrixReport
+
+
+#: SHA-256 of ``_small_spec()``'s MatrixReport JSON, as rendered when each
+#: attack column was its own campaign; folding the matrix into one
+#: campaign must not move a byte.
+SMALL_MATRIX_REPORT_SHA256 = (
+    "5d19236871c6932245e1c18091b436edbe80e802c3504bd81b6ebce69a0fc875"
+)
 
 
 def _small_spec(**overrides):
@@ -59,12 +68,25 @@ def test_default_defenses_are_every_registered_one():
 
 def test_campaign_per_attack_pins_mode_and_malicious_count():
     spec = _small_spec(attacks=("none", "outofband", "relay"))
-    for attack in spec.attacks:
-        campaign = spec.campaign_for(attack)
-        assert campaign.name == f"testmatrix-{attack}"
-        assert campaign.base.attack_mode == attack
-        assert campaign.base.n_malicious == attack_malicious(attack)
-        assert campaign.axes_dict() == {"defense": ("none", "liteworp")}
+    campaign = spec.to_campaign()
+    assert campaign.name == "testmatrix"
+    assert campaign.axes_dict() == {
+        "attack": tuple(
+            {"attack_mode": attack, "n_malicious": attack_malicious(attack)}
+            for attack in spec.attacks
+        ),
+        "defense": ("none", "liteworp"),
+    }
+    # Attack-major job order: every attack's cells are contiguous.
+    cells = [
+        (job.config.attack_mode, job.config.n_malicious, job.config.defense.name)
+        for job in compile_campaign(campaign)
+    ]
+    assert cells == [
+        (attack, attack_malicious(attack), defense)
+        for attack in spec.attacks
+        for defense in spec.defenses
+    ]
 
 
 def test_spec_validation():
@@ -78,8 +100,6 @@ def test_spec_validation():
         _small_spec(runs=0)
     with pytest.raises(CampaignError, match="colluders"):
         _small_spec(colluders=1)
-    with pytest.raises(CampaignError, match="attack 'rushing'"):
-        _small_spec().campaign_for("rushing")
 
 
 def test_total_jobs():
@@ -95,9 +115,15 @@ def test_matrix_end_to_end(tmp_path):
     assert result.complete
     assert result.executed == spec.total_jobs()
     assert isinstance(result.report, MatrixReport)
-    # One journal per attack mode.
-    for attack in spec.attacks:
-        assert spec.journal_for(attack, tmp_path).exists()
+    assert (
+        hashlib.sha256(result.report.to_json().encode()).hexdigest()
+        == SMALL_MATRIX_REPORT_SHA256
+    )
+    # One journal for the whole matrix, readable like any campaign's.
+    assert [path.name for path in tmp_path.iterdir()] == ["testmatrix.journal.jsonl"]
+    state = load_journal(tmp_path / "testmatrix.journal.jsonl")
+    assert state.spec_digest == spec.to_campaign().digest()
+    assert len(state) == state.total_jobs == spec.total_jobs()
 
     payload = result.report.payload
     assert payload["attacks"] == list(spec.attacks)
@@ -139,11 +165,15 @@ def test_matrix_interrupt_resume_byte_identity(tmp_path):
 
 def test_aggregate_requires_complete_journals(tmp_path):
     spec = _small_spec()
-    with pytest.raises(CampaignError, match="no complete journal"):
-        aggregate_matrix(spec, tmp_path)
-    run_matrix(spec, journal_dir=tmp_path, max_jobs=1)
-    with pytest.raises(CampaignError, match="missing job"):
-        aggregate_matrix(spec, tmp_path)
+    with pytest.raises(CampaignError, match="0 of its 4 job reports"):
+        aggregate_matrix(spec, [])
+    partial = run_matrix(spec, journal_dir=tmp_path, max_jobs=1)
+    assert partial.campaign.reports is None
+    state = load_journal(tmp_path / "testmatrix.journal.jsonl")
+    assert len(state) == 1 and state.interrupts == 1
+    journaled = list(state.reports.values())
+    with pytest.raises(CampaignError, match="1 of its 4 job reports"):
+        aggregate_matrix(spec, journaled)
 
 
 def test_matrix_stop_callable_interrupts(tmp_path):
@@ -177,6 +207,12 @@ def test_cli_matrix_runs_and_resumes(tmp_path, capsys):
     ]
     # Budget-limited first leg stops with the resumable exit code.
     assert main(base_args + ["--max-jobs", "1"]) == 75
+    assert "matrix stopped after --max-jobs 1; 1/4 jobs" in capsys.readouterr().err
+    # The matrix journal is an ordinary campaign journal.
+    journal = str(tmp_path / "journals" / "climatrix.journal.jsonl")
+    assert main(["campaign", "status", journal]) == 0
+    assert "1 completed job(s)" in capsys.readouterr().out
+    assert main(["campaign", "doctor", journal]) == 0
     capsys.readouterr()
     # Resume finishes and renders the matrix.
     assert main(base_args + ["--resume", "--out", str(out_path)]) == 0
