@@ -59,7 +59,8 @@ def main() -> int:
     journal = RESULTS / f"{spec.name}.journal.jsonl"
     print(f"journal {journal} (rerun the same command to resume)")
     started = time.time()
-    result = api.campaign(spec, journal=journal, resume=True)
+    progress = api.CampaignProgress(printer=lambda line: print(line, file=sys.stderr))
+    result = api.campaign(spec, journal=journal, resume=True, progress=progress)
     print(result.format())
     print(f"[{time.time() - started:.1f}s]")
     if not result.complete:

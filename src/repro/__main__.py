@@ -1,12 +1,17 @@
 """Entry point for ``python -m repro``."""
 
-import signal
+import os
 import sys
 
 from repro.cli import main
 
-if hasattr(signal, "SIGPIPE"):
-    # Die quietly when piped into `head` etc. instead of tracebacking.
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-
-sys.exit(main())
+try:
+    code = main()
+    sys.stdout.flush()
+except BrokenPipeError:
+    # Piped into `head` etc.: exit quietly instead of tracebacking.
+    # (Restoring SIGPIPE's default action instead would also kill the
+    # process when a pipe to a terminated pool worker breaks.)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    code = 1
+sys.exit(code)

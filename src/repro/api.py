@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.defenses import (
     Defense,
@@ -74,6 +74,7 @@ from repro.experiments.scenario import (
 )
 from repro.metrics.collector import MetricsReport
 from repro.obs.config import ObsConfig
+from repro.obs.progress import CampaignProgress
 from repro.obs.report import MatrixReport, RunReport, build_report
 from repro.sim.trace import TraceRecord
 
@@ -119,43 +120,12 @@ def sweep(
     return run_configs(replication_configs(config, runs), jobs=jobs, cache=cache)
 
 
-def campaign(
-    spec: Union[CampaignSpec, Mapping[str, Any], str, Path],
-    *,
-    backend: Union[str, ExecutionBackend] = "inline",
-    jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path]] = None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    retry: RetryPolicy = RetryPolicy(),
-    supervision: SupervisionPolicy = SupervisionPolicy(),
-    max_jobs: Optional[int] = None,
-    stop: Optional[Any] = None,
-    fsync: bool = True,
-) -> CampaignResult:
-    """Execute (or resume) a campaign spec; see
-    :mod:`repro.experiments.campaign` for the full semantics.
-
-    ``spec`` may be a :class:`CampaignSpec`, a spec-shaped mapping, or a
-    path to a TOML/JSON file.  ``supervision`` configures per-job
-    timeouts and poison-job quarantine; ``stop`` is a zero-argument
-    callable polled for graceful interruption.
-    """
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
-    return run_campaign(
-        spec,
-        backend=backend,
-        jobs=jobs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        retry=retry,
-        supervision=supervision,
-        max_jobs=max_jobs,
-        stop=stop,
-        fsync=fsync,
-    )
+#: Execute (or resume) a campaign spec: a :class:`CampaignSpec`, a
+#: spec-shaped mapping, or a path to a TOML/JSON file.  The same function
+#: as :func:`repro.experiments.campaign.run_campaign`, so every keyword —
+#: ``progress``, ``trace``, ``supervision``, ``harness_faults`` and a
+#: ``cache`` given as a directory — works here too.
+campaign = run_campaign
 
 
 def matrix(
@@ -191,8 +161,6 @@ def matrix(
         spec = MatrixSpec(**overrides)
     elif overrides:
         spec = dataclasses.replace(spec, **overrides)
-    if isinstance(cache, (str, Path)):
-        cache = ResultCache(cache)
     return run_matrix(
         spec,
         journal_dir=journal_dir,
@@ -219,9 +187,7 @@ def report(
     if isinstance(source, (str, Path)):
         from repro.obs.sinks import read_jsonl
 
-        records: Sequence[TraceRecord] = list(
-            read_jsonl(source, tolerate_partial=True)
-        )
+        records: Sequence[TraceRecord] = list(read_jsonl(source))
     else:
         records = list(source)
     return build_report(records, theta=theta, step=step)
@@ -249,6 +215,7 @@ __all__ = [
     "get_defense",
     "register_defense",
     # Campaign types.
+    "CampaignProgress",
     "CampaignResult",
     "CampaignSpec",
     "RetryPolicy",

@@ -781,7 +781,7 @@ def _campaign_status(args: argparse.Namespace) -> int:
     )
 
     try:
-        state = load_journal(args.journal, tolerate_partial=True)
+        state = load_journal(args.journal)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -892,7 +892,7 @@ def _read_export(path_str: str) -> Optional[list]:
         return None
     stats = ReadStats()
     try:
-        records = list(read_jsonl(path, tolerate_partial=True, stats=stats))
+        records = list(read_jsonl(path, stats=stats))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None

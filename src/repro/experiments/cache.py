@@ -37,8 +37,9 @@ from repro.obs.spans import span
 
 #: Bump when the on-disk entry format (not the simulator) changes shape.
 #: 2: MetricsReport grew per-node protocol counters (node_counters).
-#: 3: MetricsReport grew causal latency stages (latency_stages); version-2
-#:    entries still load (the field defaults to empty on read).
+#: 3: MetricsReport grew causal latency stages (latency_stages); a report
+#:    state without them still decodes (the field defaults to empty).
+#: An entry whose schema is not this version is a miss (:func:`read_entry`).
 #: 4: ScenarioConfig.defense became a DefenseSpec (name + per-plugin
 #:    config block participate in the digest, so two defenses with
 #:    otherwise-identical base configs can never collide).
@@ -105,6 +106,74 @@ _CODE_SALT: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
+# Entry files
+# ----------------------------------------------------------------------
+def atomic_write(path: pathlib.Path, data: bytes, fsync: bool = True) -> None:
+    """Replace ``path`` with ``data`` through a temp file and a rename.
+
+    With ``fsync`` the durability order is: the bytes, then the rename,
+    then the directory entry, so a crash at any point leaves either the
+    old file or the complete new one, never a torn one.
+    """
+    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+        if fsync:
+            dir_fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
+class CacheEntryError(ValueError):
+    """A cache entry that cannot serve a hit.  ``kind`` is one of the
+    doctor's problem kinds: ``corrupt``, ``bad_version`` or
+    ``malformed_entry``."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+def read_entry(path: pathlib.Path) -> MetricsReport:
+    """Decode one cache entry file, or raise :class:`CacheEntryError`.
+
+    The one entry decoder: :meth:`ResultCache.get` treats any error as a
+    miss, and :func:`repro.experiments.doctor.audit_cache` reports it.
+    """
+    try:
+        payload = json.loads(path.read_bytes())
+        if not isinstance(payload, dict):
+            raise ValueError(f"entry is {type(payload).__name__}, not an object")
+    except (OSError, ValueError) as exc:
+        raise CacheEntryError("corrupt", str(exc)) from exc
+    schema = payload.get("schema")
+    if schema != CACHE_SCHEMA_VERSION:
+        raise CacheEntryError(
+            "bad_version",
+            f"schema {schema!r}, this build writes {CACHE_SCHEMA_VERSION}",
+        )
+    try:
+        return MetricsReport.from_state(payload["report"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheEntryError(
+            "malformed_entry", f"entry does not decode to a report: {exc}"
+        ) from exc
+
+
+# ----------------------------------------------------------------------
 # The cache proper
 # ----------------------------------------------------------------------
 class ResultCache:
@@ -145,11 +214,9 @@ class ResultCache:
         foreign-format entries count as misses (and are left in place for
         post-mortems rather than deleted)."""
         with span("cache.lookup"):
-            path = self.path_for(config)
             try:
-                payload = json.loads(path.read_text())
-                report = MetricsReport.from_state(payload["report"])
-            except (OSError, ValueError, KeyError, TypeError):
+                report = read_entry(self.path_for(config))
+            except CacheEntryError:
                 self.misses += 1
                 return None
             self.hits += 1
@@ -167,30 +234,7 @@ class ResultCache:
                 "report": report.to_state(),
             }
             text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-            fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                    if self.fsync:
-                        # Durability order matters: entry bytes first,
-                        # then the rename, then the directory entry — a
-                        # crash at any point leaves either the old state
-                        # or the complete new one, never a torn entry.
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(temp_name, path)
-                if self.fsync:
-                    dir_fd = os.open(path.parent, os.O_RDONLY)
-                    try:
-                        os.fsync(dir_fd)
-                    finally:
-                        os.close(dir_fd)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, text.encode("utf-8"), fsync=self.fsync)
             return path
 
     def stats(self) -> Dict[str, int]:

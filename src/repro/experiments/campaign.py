@@ -70,7 +70,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache, config_digest
 from repro.experiments.scenario import ScenarioConfig, run_scenario
@@ -79,6 +79,7 @@ from repro.experiments.stats import summarize, summarize_optional
 from repro.faults.harness import HarnessFaultController, HarnessInterrupt
 from repro.metrics.collector import MetricsReport
 from repro.obs.progress import CampaignProgress
+from repro.obs.sinks import jsonl_lines
 from repro.obs.spans import span
 from repro.sim.trace import TraceLog
 
@@ -367,6 +368,18 @@ def replication_configs(config: ScenarioConfig, runs: int) -> List[ScenarioConfi
     ]
 
 
+def _label_value(value: Any) -> str:
+    if isinstance(value, Mapping):
+        return "{" + ",".join(f"{k}={_label_value(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+def point_label(point: Iterable[Tuple[str, Any]]) -> str:
+    """``axis=value,...`` for one sweep point (``-`` for the empty point);
+    a table value prints as compact ``{key=value,...}`` items."""
+    return ",".join(f"{axis}={_label_value(value)}" for axis, value in point) or "-"
+
+
 @dataclass(frozen=True)
 class CampaignJob:
     """One concrete simulation of the campaign, keyed by config digest."""
@@ -379,8 +392,7 @@ class CampaignJob:
 
     def label(self) -> str:
         """Human-readable ``axis=value,... #rep`` tag."""
-        point = ",".join(f"{axis}={value}" for axis, value in self.point) or "-"
-        return f"{point} #{self.replication}"
+        return f"{point_label(self.point)} #{self.replication}"
 
 
 def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
@@ -417,21 +429,6 @@ def compile_campaign(spec: CampaignSpec) -> List[CampaignJob]:
 # ----------------------------------------------------------------------
 # Journal: append-only completion log
 # ----------------------------------------------------------------------
-@dataclass
-class JournalState:
-    """Parsed journal contents (see :func:`load_journal`)."""
-
-    spec_digest: Optional[str] = None
-    total_jobs: Optional[int] = None
-    reports: Dict[str, MetricsReport] = field(default_factory=dict)
-    partial_lines: int = 0
-    interrupts: int = 0
-    dead_letters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-
 class CampaignJournal:
     """Append-only JSONL journal of completed campaign jobs.
 
@@ -606,86 +603,225 @@ class CampaignJournal:
         self.close()
 
 
-def load_journal(
-    path: Union[str, Path], tolerate_partial: bool = True
-) -> JournalState:
-    """Parse a campaign journal back into completed-job reports.
+@dataclass(frozen=True)
+class Problem:
+    """One defect in a journal, pinned to its exact location.
 
-    A truncated *final* line (the writer was killed mid-append) is
-    skipped and counted when ``tolerate_partial`` is set; mid-file
-    corruption and version/spec mismatches raise :class:`CampaignError`
-    naming the line, its byte offset, and the ``repro campaign doctor``
-    invocation that can repair the file.
+    ``kind`` is a stable string (tests and CI grep for it):
+
+    - ``torn_tail`` — the bytes after the last newline (the writer died
+      mid-append), whatever they contain;
+    - ``corrupt`` — a newline-terminated line that is not a JSON object;
+    - ``bad_version`` — a ``begin`` from a different :data:`JOURNAL_VERSION`;
+    - ``malformed_entry`` — valid JSON with required fields missing or
+      broken;
+    - ``unknown_event`` — an event tag this build does not know;
+    - ``spec_mix`` — a ``begin`` for a second campaign spec.
+    """
+
+    lineno: int
+    offset: int
+    kind: str
+    message: str
+
+    def format(self) -> str:
+        return f"line {self.lineno} (byte {self.offset}): {self.kind}: {self.message}"
+
+
+@dataclass(frozen=True)
+class JournalLine:
+    """One non-blank physical journal line, as :func:`scan_journal` read it.
+
+    ``raw`` keeps the original bytes (a torn tail has no newline) so a
+    repair can rewrite the file without re-encoding anything; ``spec`` is
+    the digest of the campaign whose ``begin`` most recently preceded the
+    line; ``event`` is None when the line did not decode.
+    """
+
+    raw: bytes
+    spec: Optional[str]
+    event: Optional[str]
+    problem: Optional[Problem]
+
+
+@dataclass
+class JournalState:
+    """One scan of a journal: its lines, every defect located, and the
+    healthy entries folded into completed-job reports."""
+
+    path: Path
+    lines: List[JournalLine] = field(default_factory=list)
+    spec_digests: List[str] = field(default_factory=list)
+    total_jobs: Optional[int] = None
+    reports: Dict[str, MetricsReport] = field(default_factory=dict)
+    dead_letters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.reports)
+
+    @property
+    def spec_digest(self) -> Optional[str]:
+        """The spec digest of the journal's first valid ``begin``."""
+        return self.spec_digests[0] if self.spec_digests else None
+
+    @property
+    def problems(self) -> List[Problem]:
+        return [line.problem for line in self.lines if line.problem is not None]
+
+    @property
+    def healthy(self) -> bool:
+        return not self.problems
+
+    @property
+    def partial_lines(self) -> int:
+        return sum(1 for problem in self.problems if problem.kind == "torn_tail")
+
+    def count(self, event: str) -> int:
+        """Healthy lines carrying ``event``."""
+        return sum(
+            1 for line in self.lines if line.problem is None and line.event == event
+        )
+
+    @property
+    def begins(self) -> int:
+        return self.count("begin")
+
+    @property
+    def completes(self) -> int:
+        return self.count("complete")
+
+    @property
+    def interrupts(self) -> int:
+        return self.count("interrupt")
+
+    def format(self) -> str:
+        """Stable multi-line audit report (``repro campaign doctor``)."""
+        state = "healthy" if self.healthy else f"{len(self.problems)} problem(s)"
+        lines = [
+            f"journal {self.path}: {state}",
+            f"  lines={len(self.lines)} begins={self.begins} "
+            f"completes={self.completes} dead_letters={self.count('dead_letter')} "
+            f"interrupts={self.interrupts}",
+        ]
+        lines.extend(f"  spec {digest[:16]}" for digest in self.spec_digests)
+        lines.extend(f"  {problem.format()}" for problem in self.problems)
+        return "\n".join(lines)
+
+
+def scan_journal(path: Union[str, Path]) -> JournalState:
+    """Read a journal byte-exactly, classifying every line.
+
+    The one reader of journal lines: resume (:func:`load_journal`),
+    ``repro campaign status`` and ``repro campaign doctor`` all see the
+    file through it.  It never raises for damage — each damaged line
+    carries a located :class:`Problem` — and folds the healthy ``complete``/``dead_letter`` entries into
+    ``reports``/``dead_letters`` by job digest.
     """
     path = Path(path)
-    state = JournalState()
+    state = JournalState(path=path)
     try:
         handle = open(path, "rb")
     except OSError as exc:
         raise CampaignError(f"cannot read campaign journal {path}: {exc}") from exc
-    offset = 0
+    spec: Optional[str] = None
     with handle:
-        # Binary iteration keeps byte offsets exact even when the damage
-        # is invalid UTF-8 (a diagnostic must never crash on the very
-        # bytes it is diagnosing).
-        for lineno, line in enumerate(handle, start=1):
-            line_offset = offset
-            offset += len(line)
-            stripped = line.strip()
-            if not stripped:
+        # Binary lines keep byte offsets exact even when the damage is
+        # invalid UTF-8 (a diagnostic must never crash on the very bytes
+        # it is diagnosing).
+        for lineno, offset, raw, torn in jsonl_lines(handle):
+            if not raw.strip():
                 continue
-            try:
-                payload = json.loads(stripped)
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"entry is {type(payload).__name__}, not an object"
-                    )
-            except ValueError as exc:  # JSON or UTF-8 decode failure
-                if tolerate_partial and not handle.read().strip():
-                    state.partial_lines += 1
-                    break
-                raise CampaignError(
-                    f"{path}:{lineno}: corrupt journal line at byte offset "
-                    f"{line_offset}: {exc}; run 'repro campaign doctor "
-                    f"{path} --repair' to quarantine it"
-                ) from exc
-            event = payload.get("event")
-            if event == "begin":
+            event: Optional[str] = None
+            kind: Optional[str] = None
+            message = ""
+            payload: Dict[str, Any] = {}
+            if torn:
+                kind = "torn_tail"
+                message = (
+                    f"unterminated final line ({len(raw)} bytes); the writer "
+                    f"died mid-append"
+                )
+            else:
+                try:
+                    payload = json.loads(raw)
+                    if not isinstance(payload, dict):
+                        raise ValueError(
+                            f"entry is {type(payload).__name__}, not an object"
+                        )
+                except ValueError as exc:  # JSON or UTF-8 decode failure
+                    kind, message = "corrupt", str(exc)
+                else:
+                    event = payload.get("event")
+            if kind is not None:
+                pass  # torn or undecodable: there is no event to check
+            elif event == "begin":
+                digest = payload.get("spec")
                 version = payload.get("version")
+                if isinstance(digest, str):
+                    spec = digest
                 if version != JOURNAL_VERSION:
-                    raise CampaignError(
-                        f"{path}:{lineno}: journal version {version!r} "
-                        f"(this build writes {JOURNAL_VERSION}); run "
-                        f"'repro campaign doctor {path}' to audit it"
+                    kind = "bad_version"
+                    message = (
+                        f"journal version {version!r}, this build writes "
+                        f"{JOURNAL_VERSION}"
                     )
-                spec_digest = payload.get("spec")
-                if state.spec_digest is not None and spec_digest != state.spec_digest:
-                    raise CampaignError(
-                        f"{path}:{lineno}: journal mixes two campaign specs"
-                    )
-                state.spec_digest = spec_digest
-                state.total_jobs = payload.get("jobs")
+                elif not isinstance(digest, str):
+                    kind, message = "malformed_entry", "begin entry without a spec digest"
+                else:
+                    if digest not in state.spec_digests:
+                        state.spec_digests.append(digest)
+                    if digest != state.spec_digests[0]:
+                        kind = "spec_mix"
+                        message = (
+                            f"journal mixes two campaign specs: begin for spec "
+                            f"{digest[:16]} in a journal opened by spec "
+                            f"{state.spec_digests[0][:16]}"
+                        )
+                    else:
+                        state.total_jobs = payload.get("jobs")
             elif event == "complete":
                 try:
                     report = MetricsReport.from_state(payload["report"])
                     digest = payload["digest"]
+                    if not isinstance(digest, str):
+                        raise TypeError(
+                            f"digest is {type(digest).__name__}, not a string"
+                        )
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise CampaignError(
-                        f"{path}:{lineno}: malformed completion entry at byte "
-                        f"offset {line_offset}: {exc}; run 'repro campaign "
-                        f"doctor {path} --repair' to quarantine it"
-                    ) from exc
-                state.reports[digest] = report
+                    kind = "malformed_entry"
+                    message = f"completion entry does not decode to a report: {exc}"
+                else:
+                    state.reports[digest] = report
             elif event == "dead_letter":
                 digest = payload.get("digest")
-                if digest is not None:
+                if isinstance(digest, str):
                     state.dead_letters[digest] = payload
-            elif event == "interrupt":
-                state.interrupts += 1
-            else:
-                raise CampaignError(
-                    f"{path}:{lineno}: unknown journal event {event!r}"
-                )
+                else:
+                    kind, message = "malformed_entry", "dead_letter entry without a job digest"
+            elif event != "interrupt":
+                kind, message = "unknown_event", f"unknown journal event {event!r}"
+            problem = None if kind is None else Problem(lineno, offset, kind, message)
+            state.lines.append(JournalLine(raw, spec, event, problem))
+    return state
+
+
+def load_journal(path: Union[str, Path]) -> JournalState:
+    """Read a journal for resume: :func:`scan_journal`, refusing damage.
+
+    A torn tail (the writer was killed mid-append) is skipped and counted
+    in ``partial_lines``; its job simply re-runs.  Any other problem
+    raises :class:`CampaignError` naming the line, its byte offset, its
+    problem kind, and the ``repro campaign doctor`` invocation that can
+    repair the file.
+    """
+    state = scan_journal(path)
+    for problem in state.problems:
+        if problem.kind != "torn_tail":
+            raise CampaignError(
+                f"{state.path}:{problem.lineno}: {problem.kind} journal line at "
+                f"byte offset {problem.offset}: {problem.message}; run 'repro "
+                f"campaign doctor {state.path} --repair' to quarantine it"
+            )
     return state
 
 
@@ -1121,7 +1257,7 @@ class CampaignResult:
         lines = [header]
         if self.aggregate is not None:
             for entry in self.aggregate["points"]:
-                point = ",".join(f"{k}={v}" for k, v in entry["point"].items()) or "-"
+                point = point_label(entry["point"].items())
                 drops = entry["metrics"]["fraction_wormhole_dropped"]["mean"]
                 routes = entry["metrics"]["fraction_malicious_routes"]["mean"]
                 lines.append(
@@ -1543,7 +1679,7 @@ class CampaignRunner(JobRunner):
 
         if self.resume and self.journal_path is not None and self.journal_path.exists():
             with span("campaign.resume"):
-                state = load_journal(self.journal_path, tolerate_partial=True)
+                state = load_journal(self.journal_path)
             if state.spec_digest is not None and state.spec_digest != self.spec.digest():
                 raise CampaignError(
                     f"journal {self.journal_path} records a different campaign "
@@ -1614,7 +1750,7 @@ def run_campaign(
     *,
     backend: Union[str, ExecutionBackend] = "inline",
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
     retry: RetryPolicy = RetryPolicy(),
@@ -1626,13 +1762,19 @@ def run_campaign(
     fsync: bool = True,
     harness_faults: Optional[HarnessFaultController] = None,
 ) -> CampaignResult:
-    """One-call campaign execution (the :mod:`repro.api` entry point).
+    """Execute (or resume) a campaign in one call; this is
+    :func:`repro.api.campaign`.
 
     ``spec`` may be a :class:`CampaignSpec`, a dict in the
     :meth:`CampaignSpec.from_dict` shape, or a path to a TOML/JSON spec
     file.  ``backend`` is a name (``inline``/``process``) or a
-    ready :class:`ExecutionBackend` instance.
+    ready :class:`ExecutionBackend` instance.  ``cache`` is a
+    :class:`~repro.experiments.cache.ResultCache` or its directory (then
+    opened with the same ``fsync`` setting as the journal).  The other
+    keywords are :class:`CampaignRunner`'s.
     """
+    if isinstance(cache, (str, Path)):
+        cache = ResultCache(cache, fsync=fsync)
     if isinstance(spec, (str, Path)):
         spec = load_spec(spec)
     elif isinstance(spec, Mapping):
@@ -1673,7 +1815,9 @@ __all__ = [
     "InlineBackend",
     "JobRunner",
     "JobTimeoutError",
+    "JournalLine",
     "JournalState",
+    "Problem",
     "ProcessBackend",
     "RetryPolicy",
     "SupervisionPolicy",
@@ -1685,9 +1829,11 @@ __all__ = [
     "load_journal",
     "load_spec",
     "make_backend",
+    "point_label",
     "replication_configs",
     "resolve_jobs",
     "run_campaign",
     "run_config",
     "run_configs",
+    "scan_journal",
 ]

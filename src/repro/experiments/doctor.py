@@ -4,10 +4,12 @@ A campaign journal is append-only JSONL, fsynced line by line — but the
 world still finds ways to damage it: a writer killed mid-append leaves a
 torn tail, a bad disk flips bytes mid-file, an old binary leaves
 version-skewed entries, two campaigns accidentally share one path.
-:func:`load_journal <repro.experiments.campaign.load_journal>` refuses
-to guess about such files; this module is the guessing that *is* safe:
+:func:`~repro.experiments.campaign.scan_journal` classifies every line
+(see :class:`~repro.experiments.campaign.Problem` for the kinds), and
+:func:`~repro.experiments.campaign.load_journal` refuses to resume from
+anything but a torn tail; this module is the guessing that *is* safe:
 
-- :func:`audit_journal` classifies every defect with its line number and
+- :func:`audit_journal` reports every defect with its line number and
   byte offset, without modifying anything;
 - :func:`repair_journal` rewrites the journal atomically (temp + fsync +
   rename), keeping every healthy line byte-for-byte and quarantining the
@@ -24,208 +26,27 @@ audit-only mode.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from repro.experiments.cache import CACHE_SCHEMA_VERSION
-from repro.experiments.campaign import JOURNAL_VERSION, CampaignError
-from repro.metrics.collector import MetricsReport
+from repro.experiments.cache import CacheEntryError, atomic_write, read_entry
+from repro.experiments.campaign import JournalState, scan_journal
 from repro.obs.spans import span
 
-#: Journal events this build understands.
-KNOWN_EVENTS = ("begin", "complete", "dead_letter", "interrupt")
 
-#: Problem classification (stable strings; tests and CI grep for them).
-PROBLEM_KINDS = (
-    "torn_tail",        # unterminated final line (writer died mid-append)
-    "corrupt",          # line is not valid JSON
-    "bad_version",      # begin entry from a different JOURNAL_VERSION
-    "malformed_entry",  # valid JSON but required fields missing/broken
-    "unknown_event",    # event tag this build does not know
-    "spec_mix",         # journal interleaves two campaign specs
-)
-
-
-@dataclass(frozen=True)
-class Problem:
-    """One defect found in a journal, pinned to its exact location."""
-
-    lineno: int
-    offset: int
-    kind: str
-    message: str
-
-    def format(self) -> str:
-        return f"line {self.lineno} (byte {self.offset}): {self.kind}: {self.message}"
-
-
-@dataclass
-class JournalAudit:
-    """Everything :func:`audit_journal` learned about one journal."""
-
-    path: Path
-    lines: int = 0
-    begins: int = 0
-    completes: int = 0
-    dead_letters: int = 0
-    interrupts: int = 0
-    spec_digests: List[str] = field(default_factory=list)
-    problems: List[Problem] = field(default_factory=list)
-
-    @property
-    def healthy(self) -> bool:
-        return not self.problems
-
-    def format(self) -> str:
-        """Stable multi-line report for the CLI."""
-        state = "healthy" if self.healthy else f"{len(self.problems)} problem(s)"
-        lines = [
-            f"journal {self.path}: {state}",
-            f"  lines={self.lines} begins={self.begins} "
-            f"completes={self.completes} dead_letters={self.dead_letters} "
-            f"interrupts={self.interrupts}",
-        ]
-        for digest in self.spec_digests:
-            lines.append(f"  spec {digest[:16]}")
-        for problem in self.problems:
-            lines.append(f"  {problem.format()}")
-        return "\n".join(lines)
-
-
-def _classify_line(
-    payload: Dict[str, Any], lineno: int, offset: int, spec_digests: List[str]
-) -> Optional[Problem]:
-    event = payload.get("event")
-    if event == "begin":
-        version = payload.get("version")
-        if version != JOURNAL_VERSION:
-            return Problem(
-                lineno, offset, "bad_version",
-                f"journal version {version!r}, this build writes {JOURNAL_VERSION}",
-            )
-        digest = payload.get("spec")
-        if isinstance(digest, str):
-            if digest not in spec_digests:
-                spec_digests.append(digest)
-            if len(spec_digests) > 1:
-                return Problem(
-                    lineno, offset, "spec_mix",
-                    f"begin for spec {digest[:16]} in a journal opened by "
-                    f"spec {spec_digests[0][:16]}",
-                )
-        return None
-    if event == "complete":
-        try:
-            MetricsReport.from_state(payload["report"])
-            digest = payload["digest"]
-        except (KeyError, TypeError, ValueError) as exc:
-            return Problem(
-                lineno, offset, "malformed_entry",
-                f"completion entry does not decode to a report: {exc}",
-            )
-        if not isinstance(digest, str):
-            return Problem(
-                lineno, offset, "malformed_entry",
-                f"completion digest is {type(digest).__name__}, not a string",
-            )
-        return None
-    if event == "dead_letter":
-        if not isinstance(payload.get("digest"), str):
-            return Problem(
-                lineno, offset, "malformed_entry",
-                "dead_letter entry without a job digest",
-            )
-        return None
-    if event == "interrupt":
-        return None
-    return Problem(
-        lineno, offset, "unknown_event", f"unknown journal event {event!r}"
-    )
-
-
-def _scan(path: Path) -> Tuple[JournalAudit, List[Tuple[bytes, Optional[str], Optional[Problem]]]]:
-    """Parse the journal byte-exactly.
-
-    Returns the audit plus one ``(raw_line, spec_digest, problem)`` tuple
-    per physical line — ``raw_line`` preserves the original bytes
-    (including the torn, newline-less tail) so repair can rewrite the
-    file without re-encoding anything, and ``spec_digest`` attributes the
-    line to the campaign whose ``begin`` most recently preceded it.
-    """
-    audit = JournalAudit(path=path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CampaignError(f"cannot read campaign journal {path}: {exc}") from exc
-    records: List[Tuple[bytes, Optional[str], Optional[Problem]]] = []
-    offset = 0
-    current_spec: Optional[str] = None
-    lineno = 0
-    while offset < len(data):
-        end = data.find(b"\n", offset)
-        torn = end < 0
-        raw = data[offset:] if torn else data[offset : end + 1]
-        line_offset = offset
-        offset = len(data) if torn else end + 1
-        lineno += 1
-        stripped = raw.strip()
-        if not stripped:
-            records.append((raw, current_spec, None))
-            continue
-        audit.lines += 1
-        if torn:
-            problem = Problem(
-                lineno, line_offset, "torn_tail",
-                f"unterminated final line ({len(raw)} bytes); the writer "
-                f"died mid-append",
-            )
-            audit.problems.append(problem)
-            records.append((raw, current_spec, problem))
-            continue
-        try:
-            payload = json.loads(stripped)
-            if not isinstance(payload, dict):
-                raise ValueError(f"entry is {type(payload).__name__}, not an object")
-        except ValueError as exc:
-            problem = Problem(lineno, line_offset, "corrupt", str(exc))
-            audit.problems.append(problem)
-            records.append((raw, current_spec, problem))
-            continue
-        problem = _classify_line(payload, lineno, line_offset, audit.spec_digests)
-        event = payload.get("event")
-        if event == "begin" and isinstance(payload.get("spec"), str):
-            current_spec = payload["spec"]
-            if problem is None:
-                audit.begins += 1
-        elif problem is None:
-            if event == "complete":
-                audit.completes += 1
-            elif event == "dead_letter":
-                audit.dead_letters += 1
-            elif event == "interrupt":
-                audit.interrupts += 1
-        if problem is not None:
-            audit.problems.append(problem)
-        records.append((raw, current_spec, problem))
-    return audit, records
-
-
-def audit_journal(path: Union[str, Path]) -> JournalAudit:
+def audit_journal(path: Union[str, Path]) -> JournalState:
     """Classify every defect in a journal without touching it."""
     with span("doctor.audit"):
-        audit, _records = _scan(Path(path))
-        return audit
+        return scan_journal(path)
 
 
 @dataclass
 class RepairResult:
     """Outcome of :func:`repair_journal`."""
 
-    audit: JournalAudit
+    audit: JournalState
     kept: int = 0
     quarantined: int = 0
     dropped_foreign: int = 0
@@ -260,63 +81,35 @@ def repair_journal(
     intact.
     """
     with span("doctor.repair"):
-        path = Path(path)
-        audit, records = _scan(path)
-        needs_spec_filter = spec_digest is not None and any(
-            spec != spec_digest for _raw, spec, _problem in records if spec is not None
-        )
-        if audit.healthy and not needs_spec_filter:
+        audit = scan_journal(path)
+        path = audit.path
+
+        def foreign(spec: Optional[str]) -> bool:
+            return spec_digest is not None and spec is not None and spec != spec_digest
+
+        if audit.healthy and not any(foreign(line.spec) for line in audit.lines):
             return RepairResult(audit=audit)
+        result = RepairResult(audit=audit, repaired=True)
         keep: List[bytes] = []
         quarantine: List[bytes] = []
-        kept = quarantined = dropped_foreign = 0
-        for raw, spec, problem in records:
-            if not raw.strip():
-                continue
-            if problem is not None:
-                quarantine.append(raw if raw.endswith(b"\n") else raw + b"\n")
-                quarantined += 1
-            elif spec_digest is not None and spec is not None and spec != spec_digest:
-                quarantine.append(raw)
-                dropped_foreign += 1
+        for line in audit.lines:
+            if line.problem is not None:
+                quarantine.append(line.raw if line.raw.endswith(b"\n") else line.raw + b"\n")
+                result.quarantined += 1
+            elif foreign(line.spec):
+                quarantine.append(line.raw)
+                result.dropped_foreign += 1
             else:
-                keep.append(raw)
-                kept += 1
-        quarantine_path = None
+                keep.append(line.raw)
+                result.kept += 1
         if quarantine:
-            quarantine_path = path.with_name(path.name + ".quarantine.jsonl")
-            with open(quarantine_path, "ab") as handle:
-                for raw in quarantine:
-                    handle.write(raw)
+            result.quarantine_path = path.with_name(path.name + ".quarantine.jsonl")
+            with open(result.quarantine_path, "ab") as handle:
+                handle.write(b"".join(quarantine))
                 handle.flush()
                 os.fsync(handle.fileno())
-        fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".repair")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for raw in keep:
-                    handle.write(raw)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return RepairResult(
-            audit=audit,
-            kept=kept,
-            quarantined=quarantined,
-            dropped_foreign=dropped_foreign,
-            quarantine_path=quarantine_path,
-            repaired=True,
-        )
+        atomic_write(path, b"".join(keep))
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -338,41 +131,16 @@ def audit_cache(root: Union[str, Path]) -> List[CacheProblem]:
     """Scan every ``<salt>/<digest>.json`` entry under ``root``.
 
     Entries from a different code salt are *not* problems (the salt
-    directory partitions them already); entries that do not parse, do
-    not decode to a report, or carry a foreign schema version are.
+    directory partitions them already); entries that
+    :meth:`~repro.experiments.cache.ResultCache.get` would refuse are.
     """
     with span("doctor.audit"):
-        root = Path(root)
         problems: List[CacheProblem] = []
-        for entry in sorted(root.glob("*/*.json")):
+        for entry in sorted(Path(root).glob("*/*.json")):
             try:
-                payload = json.loads(entry.read_text(encoding="utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"entry is {type(payload).__name__}, not an object"
-                    )
-            except (OSError, ValueError) as exc:
-                problems.append(CacheProblem(entry, "corrupt", str(exc)))
-                continue
-            schema = payload.get("schema")
-            if schema != CACHE_SCHEMA_VERSION:
-                problems.append(
-                    CacheProblem(
-                        entry, "bad_version",
-                        f"schema {schema!r}, this build writes "
-                        f"{CACHE_SCHEMA_VERSION}",
-                    )
-                )
-                continue
-            try:
-                MetricsReport.from_state(payload["report"])
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(
-                    CacheProblem(
-                        entry, "malformed_entry",
-                        f"entry does not decode to a report: {exc}",
-                    )
-                )
+                read_entry(entry)
+            except CacheEntryError as exc:
+                problems.append(CacheProblem(entry, exc.kind, str(exc)))
         return problems
 
 
@@ -396,11 +164,7 @@ def repair_cache(root: Union[str, Path]) -> List[CacheProblem]:
 
 
 __all__ = [
-    "KNOWN_EVENTS",
-    "PROBLEM_KINDS",
     "CacheProblem",
-    "JournalAudit",
-    "Problem",
     "RepairResult",
     "audit_cache",
     "audit_journal",

@@ -309,7 +309,7 @@ def run_matrix(
     journal_dir: Union[str, Path],
     backend: Union[str, ExecutionBackend] = "inline",
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     resume: bool = False,
     retry: RetryPolicy = RetryPolicy(),
     supervision: SupervisionPolicy = SupervisionPolicy(),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord
 
@@ -50,7 +50,7 @@ def record_to_json(record: TraceRecord, run: Optional[Any] = None) -> str:
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def record_from_json(line: str) -> TraceRecord:
+def record_from_json(line: Union[str, bytes]) -> TraceRecord:
     """Parse one JSONL line back into a :class:`TraceRecord`.
 
     The ``run`` tag, if present, is preserved as a ``__run__`` field so
@@ -130,38 +130,44 @@ class ReadStats:
         self.partial_lines = 0
 
 
+def jsonl_lines(handle: BinaryIO) -> Iterator[Tuple[int, int, bytes, bool]]:
+    """Split a binary JSONL stream into ``(lineno, offset, raw, torn)``.
+
+    ``raw`` is the line's bytes as written, newline included, and
+    ``offset`` its byte offset.  This is the one torn-tail rule for every
+    JSONL file the package appends to (trace exports, campaign
+    journals): the bytes after the last newline are a *torn tail* — a
+    writer died mid-append — whatever they contain, so ``torn`` is true
+    only for a final line with no newline.
+    """
+    offset = 0
+    for lineno, raw in enumerate(handle, start=1):
+        yield lineno, offset, raw, not raw.endswith(b"\n")
+        offset += len(raw)
+
+
 def read_jsonl(
     path: Union[str, Path],
-    tolerate_partial: bool = False,
     stats: Optional[ReadStats] = None,
 ) -> Iterator[TraceRecord]:
     """Stream records back from a JSONL trace export, skipping blank
-    lines.  Raises ``ValueError`` naming the offending line number on
-    malformed JSON.
+    lines.
 
-    A sweep worker killed mid-write (crash, SIGKILL, out-of-disk) can
-    legitimately leave a truncated *final* line behind.  With
-    ``tolerate_partial`` such a trailing fragment is skipped — and
-    counted in ``stats.partial_lines`` — instead of raising; malformed
-    JSON followed by further records is still corruption and raises
-    either way.
+    A torn tail (a final line with no newline: a sweep worker killed
+    mid-write) is skipped and counted in ``stats.partial_lines``.  Any
+    other malformed line raises ``ValueError`` naming its line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
+    with open(path, "rb") as handle:
+        for lineno, _offset, raw, torn in jsonl_lines(handle):
+            if not raw.strip():
                 continue
+            if torn:
+                if stats is not None:
+                    stats.partial_lines += 1
+                return
             try:
-                record = record_from_json(stripped)
-            except (json.JSONDecodeError, KeyError) as exc:
-                if tolerate_partial and isinstance(exc, json.JSONDecodeError):
-                    remainder = handle.read()
-                    if not remainder.strip():
-                        # Truncated trailing line: a killed writer's last
-                        # O_APPEND never completed.  Skip and count it.
-                        if stats is not None:
-                            stats.partial_lines += 1
-                        return
+                record = record_from_json(raw)
+            except (ValueError, KeyError, AttributeError) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: malformed trace line: {exc}"
                 ) from exc

@@ -62,9 +62,29 @@ def test_campaign_accepts_mapping_and_journal_path(tmp_path):
     )
 
 
+def test_campaign_is_run_campaign_and_reports_progress(tmp_path):
+    from repro.experiments.campaign import run_campaign
+
+    assert api.campaign is run_campaign
+    spec = {
+        "name": "facade-progress",
+        "base": {"n_nodes": 16, "duration": 30.0, "attack_start": 10.0},
+        "axes": {"n_malicious": [0, 2]},
+    }
+    lines = []
+    result = api.campaign(
+        spec,
+        cache=tmp_path / "cache",
+        progress=api.CampaignProgress(printer=lines.append),
+    )
+    assert result.complete
+    assert lines[0] == "[facade-progress] 0/2 jobs"
+    assert "[facade-progress] 2/2 jobs (run)" in lines
+    assert len(list((tmp_path / "cache").rglob("*.json"))) == 2
+
+
 def test_report_from_records_and_path(tmp_path):
     from repro.obs.sinks import JsonlSink
-    from repro.sim.trace import TraceLog
 
     config = api.ScenarioConfig(n_nodes=16, duration=30.0, seed=4,
                                 attack_start=10.0)

@@ -191,6 +191,63 @@ def test_repair_with_spec_filter_drops_foreign_lines(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# One reader: load, resume and the audit classify a line the same way
+# ----------------------------------------------------------------------
+def test_newline_terminated_garbage_last_line_is_corrupt_everywhere(tmp_path):
+    journal = _healthy_journal(tmp_path)
+    healthy = journal.read_bytes()
+    journal.write_bytes(healthy + b"not json\n")
+    damaged = journal.read_bytes()
+
+    with pytest.raises(CampaignError) as excinfo:
+        load_journal(journal)
+    message = str(excinfo.value)
+    assert f"{journal}:4: corrupt" in message
+    assert f"byte offset {len(healthy)}" in message
+    assert "repro campaign doctor" in message
+
+    (problem,) = audit_journal(journal).problems
+    assert (problem.kind, problem.lineno, problem.offset) == (
+        "corrupt", 4, len(healthy)
+    )
+
+    # A resume refuses the journal instead of appending after the damage.
+    with pytest.raises(CampaignError, match="corrupt"):
+        CampaignRunner(
+            tiny_spec(), worker=_FakeWorker(), journal_path=journal, resume=True
+        ).run()
+    assert journal.read_bytes() == damaged
+
+
+def test_complete_json_without_newline_is_a_torn_tail_everywhere(tmp_path):
+    journal = _healthy_journal(tmp_path)
+    lines = journal.read_bytes().splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    assert last["event"] == "complete"
+    journal.write_bytes(b"".join(lines)[:-1])  # parses, but never terminated
+
+    state = load_journal(journal)
+    assert state.partial_lines == 1
+    assert last["digest"] not in state.reports
+    assert len(state.reports) == 1
+
+    (problem,) = audit_journal(journal).problems
+    assert (problem.kind, problem.lineno) == ("torn_tail", len(lines))
+
+    # Resume re-runs the unterminated job; the journal then records one
+    # completion per job and nothing else is wrong with it.
+    resumed = CampaignRunner(
+        tiny_spec(), worker=_FakeWorker(), journal_path=journal, resume=True
+    ).run()
+    assert resumed.complete
+    assert (resumed.from_journal, resumed.executed) == (1, 1)
+    healed = audit_journal(journal)
+    assert healed.healthy
+    assert healed.completes == 2
+    assert len(load_journal(journal).reports) == 2
+
+
+# ----------------------------------------------------------------------
 # Cache audit/repair
 # ----------------------------------------------------------------------
 def test_cache_audit_and_repair(tmp_path):

@@ -240,7 +240,7 @@ def test_torn_write_interrupts_and_resume_is_byte_identical(tmp_path):
     # On disk: one full completion, then a torn (unterminated) line.
     raw = journal.read_bytes()
     assert not raw.endswith(b"\n")
-    state = load_journal(journal, tolerate_partial=True)
+    state = load_journal(journal)
     assert state.partial_lines == 1
     assert len(state.reports) == 1
 

@@ -72,10 +72,10 @@ def test_truncation_at_any_offset_resumes_byte_identical(baseline, data):
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "truncated.jsonl"
         path.write_bytes(raw[:offset])
-        # A pure prefix damages at most the final line, which
-        # tolerate_partial handles — loading never raises, and every
+        # A pure prefix damages at most the final line, a torn tail that
+        # loading skips — loading never raises, and every
         # report it does return is one the full journal contains.
-        state = load_journal(path, tolerate_partial=True)
+        state = load_journal(path)
         assert state.partial_lines <= 1
         full = load_journal_reports(raw, workdir)
         for digest, report in state.reports.items():
@@ -129,7 +129,7 @@ def test_midfile_garbage_fails_located_then_repairs(baseline, data):
         # Never a silent wrong aggregate: the load fails, and the
         # diagnostic carries the line, the byte offset, and the cure.
         with pytest.raises(CampaignError) as excinfo:
-            load_journal(path, tolerate_partial=True)
+            load_journal(path)
         message = str(excinfo.value)
         assert f":{where + 2}:" in message
         assert "byte offset" in message

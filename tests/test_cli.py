@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -10,6 +15,23 @@ def test_taxonomy_command(capsys):
     out = capsys.readouterr().out
     assert "Packet encapsulation" in out
     assert "Out-of-band channel" in out
+
+
+def test_module_entry_exits_quietly_into_a_closed_pipe():
+    """``python -m repro ... | head`` ends with exit 1 and no traceback,
+    without SIGPIPE's default action (which would also kill a campaign
+    whose pool pipe breaks when a worker is terminated)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "taxonomy"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_cost_command(capsys):

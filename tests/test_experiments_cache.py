@@ -6,11 +6,13 @@ import json
 import pytest
 
 from repro.experiments.cache import (
+    CACHE_SCHEMA_VERSION,
     ResultCache,
     canonical_value,
     code_salt,
     config_digest,
 )
+from repro.experiments.doctor import audit_cache
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.metrics.collector import MetricsReport
 
@@ -120,19 +122,26 @@ def test_latency_stages_round_trip_through_cache(tmp_path):
     assert fetched.mean_detection_latency() == report.mean_detection_latency()
 
 
-def test_schema_version_2_entry_loads_without_latency_stages(tmp_path):
-    """Entries written before latency_stages existed must still load."""
+def test_foreign_schema_entry_is_a_miss(tmp_path):
+    """ResultCache.get and the doctor's cache audit share one entry
+    decoder: an entry whose schema is not this build's is a miss, and the
+    audit flags that same entry ``bad_version``."""
     report = run_scenario(TINY)
     cache = ResultCache(tmp_path)
-    path = cache.path_for(TINY)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = cache.put(TINY, report)
     state = report.to_state()
-    del state["latency_stages"]  # pin the version-2 on-disk shape
-    path.write_text(json.dumps(
-        {"schema": 2, "config": repr(TINY), "report": state}
-    ))
-    loaded = ResultCache(tmp_path).get(TINY)
-    assert loaded is not None
+    del state["latency_stages"]  # the version-2 on-disk shape
+    for schema in (2, CACHE_SCHEMA_VERSION - 1):
+        path.write_text(json.dumps(
+            {"schema": schema, "config": repr(TINY), "report": state}
+        ))
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(TINY) is None
+        assert fresh.stats() == {"hits": 0, "misses": 1}
+        (problem,) = audit_cache(tmp_path)
+        assert (problem.path, problem.kind) == (path, "bad_version")
+    # The report state itself still decodes without latency stages.
+    loaded = MetricsReport.from_state(state)
     assert loaded.latency_stages == {}
     assert loaded.mean_detection_latency() is None
     assert loaded.originated == report.originated

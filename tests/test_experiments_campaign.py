@@ -258,11 +258,9 @@ def test_journal_tolerates_truncated_final_line(tmp_path):
     # Simulate a writer killed mid-append: chop the final line in half.
     text = path.read_text()
     path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-    state = load_journal(path, tolerate_partial=True)
+    state = load_journal(path)
     assert state.partial_lines == 1
     assert len(state) == 0
-    with pytest.raises(CampaignError, match="corrupt"):
-        load_journal(path, tolerate_partial=False)
 
 
 def test_journal_rejects_midfile_corruption_and_bad_version(tmp_path):

@@ -14,7 +14,13 @@ import json
 
 import pytest
 
-from repro.experiments.campaign import CampaignError, compile_campaign, load_journal
+from repro.experiments.campaign import (
+    CampaignError,
+    CampaignResult,
+    aggregate_campaign,
+    compile_campaign,
+    load_journal,
+)
 from repro.experiments.matrix import (
     DEFAULT_MATRIX_ATTACKS,
     MatrixSpec,
@@ -23,6 +29,7 @@ from repro.experiments.matrix import (
     run_matrix,
 )
 from repro.experiments.scenario import ScenarioConfig
+from repro.metrics.collector import MetricsReport
 from repro.obs.report import MatrixReport
 
 
@@ -104,6 +111,35 @@ def test_spec_validation():
 
 def test_total_jobs():
     assert _small_spec(runs=3).total_jobs() == 2 * 2 * 3
+
+
+def test_point_labels_print_tables_as_key_value_items():
+    """Job labels and the result summary share one point-label helper:
+    a coupled-axis table prints as ``{key=value,...}``, never a repr."""
+    campaign = MatrixSpec().to_campaign()
+    jobs = compile_campaign(campaign)
+    assert jobs[0].label() == (
+        f"attack={{attack_mode=outofband,n_malicious=2}},"
+        f"defense={campaign.axes_dict()['defense'][0]} #0"
+    )
+    report = MetricsReport(
+        duration=1.0, originated=1, delivered=1, wormhole_drops=0,
+        routes_established=1, malicious_routes=0, drop_times=(),
+        isolation_times={}, first_activity={}, detections=0, isolations=0,
+    )
+    aggregate = aggregate_campaign(
+        campaign, jobs, {job.index: report for job in jobs}
+    )
+    text = CampaignResult(
+        spec=campaign, total_jobs=len(jobs), executed=len(jobs), from_cache=0,
+        from_journal=0, retried=0, complete=True, aggregate=aggregate,
+    ).format()
+    labels = [job.label() for job in jobs]
+    for label in labels:
+        assert "'" not in label and "attack={attack_mode=" in label
+    for line in text.splitlines()[1:]:
+        assert "'" not in line
+        assert line.split()[0] + " #0" in labels
 
 
 # ----------------------------------------------------------------------

@@ -150,16 +150,10 @@ def truncated_export(tmp_path, keep=2):
     return path
 
 
-def test_read_jsonl_raises_on_truncated_final_line_by_default(tmp_path):
-    path = truncated_export(tmp_path)
-    with pytest.raises(ValueError, match="malformed trace line"):
-        list(read_jsonl(path))
-
-
 def test_read_jsonl_tolerate_partial_skips_and_counts(tmp_path):
     path = truncated_export(tmp_path, keep=2)
     stats = ReadStats()
-    records = list(read_jsonl(path, tolerate_partial=True, stats=stats))
+    records = list(read_jsonl(path, stats=stats))
     assert len(records) == 2
     assert stats.records == 2
     assert stats.partial_lines == 1
@@ -173,8 +167,23 @@ def test_tolerate_partial_still_rejects_midfile_corruption(tmp_path):
     )
     stats = ReadStats()
     with pytest.raises(ValueError, match="corrupt.jsonl:1"):
-        list(read_jsonl(path, tolerate_partial=True, stats=stats))
+        list(read_jsonl(path, stats=stats))
     assert stats.partial_lines == 0
+
+
+def test_read_jsonl_skips_complete_json_without_newline(tmp_path):
+    """The torn-tail rule is about the newline, not the JSON: a final
+    line with no newline is torn even when it happens to parse, and a
+    newline-terminated malformed final line is corruption."""
+    good = '{"time": 0.0, "kind": "ok", "fields": {}}\n'
+    path = tmp_path / "tail.jsonl"
+    path.write_text(good + good.rstrip("\n"))
+    stats = ReadStats()
+    assert len(list(read_jsonl(path, stats=stats))) == 1
+    assert stats.partial_lines == 1
+    path.write_text(good + '{"time": 1.0, "ki\n')
+    with pytest.raises(ValueError, match="tail.jsonl:2"):
+        list(read_jsonl(path))
 
 
 def test_tolerate_partial_is_a_noop_on_clean_files(tmp_path):
@@ -184,7 +193,7 @@ def test_tolerate_partial_is_a_noop_on_clean_files(tmp_path):
     fill(trace, 3)
     trace.close_sinks()
     stats = ReadStats()
-    assert len(list(read_jsonl(path, tolerate_partial=True, stats=stats))) == 3
+    assert len(list(read_jsonl(path, stats=stats))) == 3
     assert stats.partial_lines == 0
 
 
